@@ -21,7 +21,7 @@ from . import sensitivity as sens
 from . import solver as sv
 from ._util import child_seed, readonly_array, rng_for, run_indexed
 from .exceptions import ConvergenceError, NumericalError
-from .space import CostVector, GroundSpace, Prob
+from .space import METRICS, CostVector, GroundSpace, Prob
 
 DEFAULT_BAND_DRAWS = 2000
 
@@ -181,20 +181,30 @@ class RColCurve:
 
 
 def _step_eval(thresholds, values, t):
+    """Step functions on ``thresholds`` at t; values may be (M, len(thresholds))."""
     t = np.asarray(t, dtype=float)
     idx = np.searchsorted(thresholds, t, side="right") - 1
-    out = np.where(idx >= 0, np.asarray(values)[np.clip(idx, 0, None)], 0.0)
+    out = np.where(idx >= 0, np.asarray(values)[..., np.clip(idx, 0, None)], 0.0)
     return float(out) if out.ndim == 0 else out
+
+
+def _cost_groups(cost_entries):
+    """Sorted distinct costs and the index of each entry's cost among them."""
+    distinct, groups = np.unique(cost_entries, return_inverse=True)
+    return distinct, groups.ravel()
+
+
+def _group_curve(groups, mass, n_groups):
+    """Curve of one mass vector on the distinct-cost grid of its groups."""
+    return np.cumsum(np.bincount(groups, weights=mass, minlength=n_groups))
 
 
 def _curve_values(cost_entries, mass, thresholds):
     """Cumulative mass at costs <= t for each threshold; mass may be (M, dim)."""
-    order = np.argsort(cost_entries, kind="stable")
-    csorted = cost_entries[order]
-    idx = np.searchsorted(csorted, thresholds, side="right") - 1
-    cums = np.cumsum(np.asarray(mass)[..., order], axis=-1)
-    vals = np.where(idx >= 0, cums[..., np.clip(idx, 0, None)], 0.0)
-    return vals
+    distinct, groups = _cost_groups(cost_entries)
+    curves = [_group_curve(groups, m, distinct.size) for m in np.atleast_2d(mass)]
+    vals = _step_eval(distinct, np.array(curves), thresholds)
+    return vals if np.ndim(mass) > 1 else vals[0]
 
 
 def rcol(plan: sv.TransportPlan, c, thresholds=None) -> RColCurve:
@@ -207,10 +217,11 @@ def rcol(plan: sv.TransportPlan, c, thresholds=None) -> RColCurve:
     if cost.size != plan.entries.size:
         raise ValueError("cost and plan dimensions do not match")
     if thresholds is None:
-        thresholds = np.unique(cost)
+        thresholds, groups = _cost_groups(cost)
+        vals = _group_curve(groups, plan.entries, thresholds.size)
     else:
         thresholds = np.asarray(thresholds, dtype=float).ravel()
-    vals = _curve_values(cost, plan.entries, thresholds)
+        vals = _curve_values(cost, plan.entries, thresholds)
     return RColCurve(thresholds=thresholds, values=vals)
 
 
@@ -218,6 +229,21 @@ def _band_rate(n, m):
     if m is None:
         return np.sqrt(n)
     return np.sqrt(n * m / (n + m))
+
+
+def _limit_curve_table(groups, n_groups, action: sens.PlanCovarianceAction):
+    """Matrix mapping reduced draws X (from ``sample_reduced``) to curves X @ table.
+
+    Row i < n_rows is R[:, i], the mass of w in row i at costs <= each
+    threshold; row n_rows + j is the same for column j < n_cols - 1.
+    """
+    n1, n2, T = action.n_rows, action.n_cols, n_groups
+    g = groups.reshape(n1, n2)
+    rows = np.bincount((g * n1 + np.arange(n1)[:, None]).ravel(), weights=action.weights,
+                       minlength=T * n1).reshape(T, n1)
+    cols = np.bincount((g * n2 + np.arange(n2)).ravel(), weights=action.weights,
+                       minlength=T * n2).reshape(T, n2)
+    return np.cumsum(np.hstack([rows, cols[:, :-1]]), axis=0).T
 
 
 def rcol_cb_gaussian(plan: sv.TransportPlan, action: sens.PlanCovarianceAction, c,
@@ -228,6 +254,11 @@ def rcol_cb_gaussian(plan: sv.TransportPlan, action: sens.PlanCovarianceAction, 
     The band half-width is the empirical (1 - alpha) quantile of the sup-norm
     of the limit process over the cost grid, divided by the sampling rate
     (sqrt(n), or sqrt(n*m/(n+m)) with two estimated marginals).
+
+    Every draw has the form w_ij * (x_i + y_j), so its curve at threshold t
+    is x . R_t + y . C_t with R_t, C_t the row and column sums of w over the
+    entries of cost <= t. These tables are built once; each draw stays in
+    its reduced coordinates (x, y) and never exists at plan size.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -235,22 +266,25 @@ def rcol_cb_gaussian(plan: sv.TransportPlan, action: sens.PlanCovarianceAction, 
     if draws < max(100, int(np.ceil(1.0 / alpha))):
         raise ValueError("too few draws for a stable band quantile")
     cost = c.entries if isinstance(c, CostVector) else np.asarray(c, dtype=float).ravel()
-    base = rcol(plan, cost)
+    if cost.size != plan.entries.size:
+        raise ValueError("cost and plan dimensions do not match")
+    thresholds, groups = _cost_groups(cost)
+    values = _group_curve(groups, plan.entries, thresholds.size)
+    table = _limit_curve_table(groups, thresholds.size, action)
     rng = rng_for(seed)
     sups = np.empty(draws)
-    chunk = max(1, (1 << 22) // max(1, cost.size))
+    chunk = max(1, (1 << 22) // max(1, cost.size))  # fixes the RNG stream order
     done = 0
     while done < draws:
         take = min(chunk, draws - done)
-        G = action.sample(take, rng)
-        vals = _curve_values(cost, G, base.thresholds)
-        sups[done : done + take] = np.abs(vals).max(axis=-1)
+        curves = action.sample_reduced(take, rng) @ table
+        sups[done : done + take] = np.abs(curves).max(axis=-1)
         done += take
     u = float(np.quantile(sups, 1.0 - alpha))
     half = u / _band_rate(n, m)
-    return RColCurve(thresholds=base.thresholds, values=base.values,
-                     lower=np.clip(base.values - half, 0.0, 1.0),
-                     upper=np.clip(base.values + half, 0.0, 1.0),
+    return RColCurve(thresholds=thresholds, values=values,
+                     lower=np.clip(values - half, 0.0, 1.0),
+                     upper=np.clip(values + half, 0.0, 1.0),
                      alpha=alpha, u_quantile=u, n=int(n))
 
 
@@ -267,10 +301,14 @@ class BootstrapBand:
 def _bootstrap_band_core(C_red, r_red, s_red, lam, p, B, alpha, seed, n,
                          tol, max_iter, threads, keep_replicates,
                          max_failure_rate=0.05) -> BootstrapBand:
-    cost_flat = C_red.ravel()
-    thresholds = np.unique(cost_flat)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if B < 50:
+        raise ValueError("need at least 50 bootstrap replicates")
+    thresholds, groups = _cost_groups(C_red)
+    groups = groups.reshape(C_red.shape)
     P, f, g, _, _ = sv.sinkhorn_matrix(C_red, r_red, s_red, lam, tol=tol, max_iter=max_iter)
-    base_vals = _curve_values(cost_flat, P.ravel(), thresholds)
+    base_vals = _group_curve(groups.ravel(), P.ravel(), thresholds.size)
 
     def one(b):
         rng = rng_for(seed, b)
@@ -281,7 +319,9 @@ def _bootstrap_band_core(C_red, r_red, s_red, lam, p, B, alpha, seed, n,
                                    max_iter=max_iter, init=(f, g))
         except (ConvergenceError, NumericalError):
             return None
-        return _curve_values(sol.cost.ravel(), sol.plan.entries, thresholds)
+        # the replicate's support is a sub-block of C_red, so it reuses the groups
+        block = groups[np.ix_(sol.row_support, sol.col_support)]
+        return _group_curve(block.ravel(), sol.plan.entries, thresholds.size)
 
     results = run_indexed(one, int(B), threads)
     failures = sum(1 for x in results if x is None)
@@ -314,10 +354,6 @@ def rcol_cb_bootstrap(r_hat: Prob, s_hat: Prob, c: CostVector, lam: float,
     the band quantile comes from the sup-norm of the recentered bootstrap
     curves at the sqrt(n/2) rate.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if B < 50:
-        raise ValueError("need at least 50 bootstrap replicates")
     if n is None:
         n = r_hat.n if r_hat.n is not None else s_hat.n
     if n is None:
@@ -358,10 +394,8 @@ def rcol_diff(curve_a: RColCurve, curve_b: RColCurve, replicates_a, replicates_b
     grid = np.union1d(curve_a.thresholds, curve_b.thresholds)
     base = _step_eval(curve_a.thresholds, curve_a.values, grid) \
         - _step_eval(curve_b.thresholds, curve_b.values, grid)
-    ia = np.searchsorted(curve_a.thresholds, grid, side="right") - 1
-    ib = np.searchsorted(curve_b.thresholds, grid, side="right") - 1
-    va = np.where(ia >= 0, ra[:, np.clip(ia, 0, None)], 0.0)
-    vb = np.where(ib >= 0, rb[:, np.clip(ib, 0, None)], 0.0)
+    va = _step_eval(curve_a.thresholds, ra, grid)
+    vb = _step_eval(curve_b.thresholds, rb, grid)
     sups = np.sqrt(n / 2.0) * np.abs((va - vb) - base).max(axis=1)
     u = float(np.quantile(sups, 1.0 - alpha))
     half = np.sqrt(2.0) * u / np.sqrt(n)
@@ -374,7 +408,25 @@ def rcol_diff(curve_a: RColCurve, curve_b: RColCurve, replicates_a, replicates_b
 # ---------------------------------------------------------------------------
 # Large-image pipeline
 
-_FULL_COST_MAX_ENTRIES = 1 << 24
+
+def _grid_cost_median(img: IntensityImage, metric: str, p: float) -> float:
+    """Median of all pixel-pair costs of the image grid, as np.quantile(., 0.5).
+
+    A pair's cost depends only on its offset (dx, dy), which occurs
+    (width - |dx|) * (height - |dy|) times, so the median is read off the
+    weighted offset histogram in O(height * width) memory.
+    """
+    h, w, l = img.height, img.width, img.pixel_size
+    dy, dx = np.meshgrid(np.arange(1 - h, h), np.arange(1 - w, w), indexing="ij")
+    d2 = (dx * l) ** 2 + (dy * l) ** 2
+    cost = (d2 if metric == "sqeuclidean" else np.sqrt(d2)).ravel() ** p
+    order = np.argsort(cost)
+    counts = np.cumsum(((h - np.abs(dy)) * (w - np.abs(dx))).ravel()[order])
+    pos = 0.5 * (counts[-1] - 1)  # the linear-interpolation index among all pairs
+    k = int(pos)
+    lo, hi = cost[order[np.searchsorted(counts, [k, min(k + 1, counts[-1] - 1)],
+                                        side="right")]]
+    return float(lo + (hi - lo) * (pos - k))
 
 
 @dataclass(frozen=True)
@@ -402,9 +454,8 @@ def rcol_pipeline(img_a: IntensityImage, img_b: IntensityImage, n: int,
 
     Cost blocks are only ever built on the resampled supports, so the full
     pixel grid never materializes a cost matrix. With ``lam0`` given, the
-    regularization is lam0 times the median cost, computed over the full grid
-    when that is small enough to enumerate and over the reduced support
-    otherwise.
+    regularization is lam0 times the median cost over all pixel pairs of the
+    full grid.
     """
     if (img_a.height, img_a.width) != (img_b.height, img_b.width) \
             or img_a.pixel_size != img_b.pixel_size:
@@ -413,6 +464,8 @@ def rcol_pipeline(img_a: IntensityImage, img_b: IntensityImage, n: int,
         raise ValueError("give exactly one of lam and lam0")
     if band not in ("bootstrap", "gaussian", "none"):
         raise ValueError("band must be bootstrap, gaussian, or none")
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
     space, ra = image_to_distribution(img_a)
     _, rb = image_to_distribution(img_b)
@@ -424,14 +477,7 @@ def rcol_pipeline(img_a: IntensityImage, img_b: IntensityImage, n: int,
     pb = space.points[cols]
     C_red = cdist(pa, pb, metric=metric) ** p
 
-    if lam is None:
-        npts = space.n_points
-        if npts * npts <= _FULL_COST_MAX_ENTRIES:
-            full = cdist(space.points, space.points, metric=metric) ** p
-            lam = lam0 * float(np.quantile(full, 0.5))
-        else:
-            lam = lam0 * float(np.quantile(C_red, 0.5))
-    lam = float(lam)
+    lam = float(lam0 * _grid_cost_median(img_a, metric, p) if lam is None else lam)
 
     r_red = rhat.weights[rows]
     s_red = shat.weights[cols]

@@ -196,12 +196,19 @@ class PlanCovarianceAction:
         return (self.delta * _multinomial_quad(self._r, t[:n1])
                 + (1.0 - self.delta) * _multinomial_quad(self._s[:-1], t[n1:]))
 
-    def sample(self, M: int, rng) -> np.ndarray:
-        """M Gaussian draws with covariance Sigma, shape (M, dim).
+    @property
+    def weights(self) -> np.ndarray:
+        """Inverse Hessian diagonal w at the plan, flat of length dim."""
+        return self._w
 
+    def sample_reduced(self, M: int, rng) -> np.ndarray:
+        """Reduced coordinates of M Gaussian draws, shape (M, n_rows + n_cols - 1).
+
+        Row k holds (x, y) with y of length n_cols - 1; the draw itself is
+        w_ij * (x_i + y_j) with y padded by a zero for the last column.
         Sampling factors the small multinomial covariance instead of Sigma:
         a standard normal vector is pushed through the multinomial factor and
-        then through the gradient block.
+        then through the inverse reduced Gram matrix.
         """
         M = int(M)
         n1, n2 = self.n_rows, self.n_cols
@@ -215,12 +222,12 @@ class PlanCovarianceAction:
             Ur = _multinomial_factor_apply(self._r, self._sqrt_r, Zr)
             Us = _multinomial_factor_apply(self._s, self._sqrt_s, Zs)[:, :-1]
             T = np.hstack([np.sqrt(self.delta) * Ur, np.sqrt(1.0 - self.delta) * Us])
-        X = cho_solve(self._chol, T.T).T
-        Xr = X[:, :n1]
-        Xc = np.hstack([X[:, n1:], np.zeros((M, 1))])
-        out = (Xr[:, :, None] + Xc[:, None, :]).reshape(M, self.dim)
-        out *= self._w
-        return out
+        return cho_solve(self._chol, T.T).T
+
+    def sample(self, M: int, rng) -> np.ndarray:
+        """M Gaussian draws with covariance Sigma, shape (M, dim)."""
+        X = self.sample_reduced(M, rng)
+        return (self._w[:, None] * _apply_adjoint(self._op, X.T)).T
 
     def dense(self) -> np.ndarray:
         """Materialized Sigma; refused beyond small instances."""

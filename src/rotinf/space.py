@@ -74,8 +74,8 @@ class CostVector:
         n = math.isqrt(e.size)
         if n * n != e.size:
             raise ValueError("cost vector length must be a perfect square")
-        if (e < 0).any():
-            raise ValueError("cost entries must be nonnegative")
+        if not ((e >= 0) & (e < np.inf)).all():  # also refuses NaN
+            raise ValueError("cost entries must be finite and nonnegative")
         object.__setattr__(self, "entries", readonly_array(e))
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "c_max", float(self.c_max))
@@ -147,7 +147,7 @@ class Prob:
             raise ValueError("probability vector must be nonempty")
         if (w < 0).any():
             raise ValueError("probability weights must be nonnegative")
-        if abs(w.sum() - 1.0) > SIMPLEX_ATOL:
+        if not abs(w.sum() - 1.0) <= SIMPLEX_ATOL:  # a NaN sum fails too
             raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {SIMPLEX_ATOL}")
         object.__setattr__(self, "weights", readonly_array(w))
 

@@ -202,6 +202,16 @@ def test_rcol_subcommand_deterministic(runner, tmp_path):
     assert curves[0] == curves[1]
 
 
+def test_rcol_bootstrap_refuses_few_replicates(runner, tmp_path):
+    pa, pb = write_images(tmp_path)
+    result = runner.invoke(main, ["rcol", "--imgA", pa, "--imgB", pb,
+                                  "--resample", "150", "--lambda0", "1.0",
+                                  "--band", "bootstrap", "--B", "20", "--seed", "7",
+                                  "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "at least 50" in result.output
+
+
 def test_rcol_requires_seed(runner, tmp_path):
     pa, pb = write_images(tmp_path)
     result = runner.invoke(main, ["rcol", "--imgA", pa, "--imgB", pb,

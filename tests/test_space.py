@@ -69,6 +69,17 @@ def test_cost_custom_table_negative_rejected():
         cost_from_metric(space, p=1.0, metric=table)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cost_rejects_nonfinite_entries(bad):
+    space = build_grid_space(2, 1.0)
+    table = np.ones((4, 4))
+    table[1, 2] = bad
+    with pytest.raises(ValueError):
+        cost_from_metric(space, p=1.0, metric=table)
+    with pytest.raises(ValueError):
+        CostVector(entries=table.ravel(), p=1.0, c_max=1.0)
+
+
 def test_cost_rejects_p_below_one():
     with pytest.raises(ValueError):
         cost_from_metric(build_grid_space(2), p=0.5)
@@ -125,6 +136,9 @@ def test_prob_validation():
         Prob([0.5, 0.6])
     with pytest.raises(ValueError):
         Prob([-0.1, 1.1])
+    for bad in ([np.nan, 0.5], [np.nan, 1.0], [np.inf, 0.5], [0.5, -np.inf]):
+        with pytest.raises(ValueError):
+            Prob(bad)
     p = Prob.from_weights([2.0, 2.0], normalize=True)
     assert np.allclose(p.weights, [0.5, 0.5])
 
