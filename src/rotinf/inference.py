@@ -116,6 +116,8 @@ def bootstrap_statistic(r_hat: Prob, s: Prob, c: CostVector, lam: float, B: int,
     r_hat and records sqrt(n) * (W(r*_n, s) - W(r_hat, s)) for each of the B
     replicates.
     """
+    if B < 2:
+        raise ValueError("need at least two bootstrap replicates")
     if n is None:
         n = r_hat.n
     if n is None:
@@ -175,6 +177,8 @@ def confidence_interval(w: float, sigma2: float, n: int, alpha: float = 0.05,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if n < 1 or (m is not None and m < 1):
+        raise ValueError("sample sizes must be at least 1")
     rate = np.sqrt(n * m / (n + m)) if m is not None else np.sqrt(n)
     half = stats.norm.ppf(1.0 - alpha / 2.0) * np.sqrt(max(sigma2, 0.0)) / rate
     return float(w - half), float(w + half)

@@ -187,8 +187,10 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     C = np.asarray(C, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
-    if lam <= 0:
-        raise ValueError("regularization strength must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError("regularization strength must be finite and positive")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
     if (r <= 0).any() or (s <= 0).any():
         raise ReductionRequiredError("marginals must be strictly positive; reduce the support first")
     n1, n2 = C.shape
@@ -270,8 +272,10 @@ def newton_matrix(reg: rg.Regularizer, C, r, s, lam, tol=DEFAULT_TOL, max_iter=2
     C = np.asarray(C, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
-    if lam <= 0:
-        raise ValueError("regularization strength must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError("regularization strength must be finite and positive")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
     if (r <= 0).any() or (s <= 0).any():
         raise ReductionRequiredError("marginals must be strictly positive; reduce the support first")
     n1, n2 = C.shape
@@ -426,6 +430,9 @@ def solve_reduced(cost, r_weights, s_weights, lam, reg: rg.Regularizer | None = 
             raise ValueError("p must be given with a raw cost matrix")
     rw = np.asarray(r_weights, dtype=float).ravel()
     sw = np.asarray(s_weights, dtype=float).ravel()
+    if (rw.size, sw.size) != C.shape:
+        raise ValueError(f"marginal sizes {rw.size} and {sw.size} do not match "
+                         f"the {C.shape[0]} x {C.shape[1]} cost matrix")
     rows = np.flatnonzero(rw > 0)
     cols = np.flatnonzero(sw > 0)
     C_red = C[np.ix_(rows, cols)]

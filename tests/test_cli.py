@@ -283,3 +283,109 @@ def test_config_file_overrides_flags(runner, tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     assert abs(payload["divergence"] - E_DIV) < 1e-6  # lambda = 1 applied
+
+
+def test_config_file_missing_exits_3(runner, tmp_path):
+    paths = write_fixture(tmp_path)
+    missing = str(tmp_path / "nope.json")
+    result = runner.invoke(main, ["solve", "--config", missing, "--cost", paths["cost"],
+                                  "--r", paths["r"], "--s", paths["s"], "--lambda", "1",
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 3, result.output
+    result = runner.invoke(main, ["rcol", "--config", missing])
+    assert result.exit_code == 3, result.output
+
+
+def test_config_file_malformed_exits_2(runner, tmp_path):
+    paths = write_fixture(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    result = runner.invoke(main, ["solve", "--config", str(bad), "--cost", paths["cost"],
+                                  "--r", paths["r"], "--s", paths["s"], "--lambda", "1",
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+
+
+def test_mc_config_not_an_object_exits_2(runner, tmp_path):
+    cfg_path = tmp_path / "arr.json"
+    cfg_path.write_text("[1, 2]")
+    result = runner.invoke(main, ["mc", "--config", str(cfg_path),
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize("command", ["solve", "variance"])
+@pytest.mark.parametrize("grid, r_size, s_size", [(3, 4, 9), (2, 9, 4), (2, 4, 9)])
+def test_marginal_size_mismatch_exits_2(runner, tmp_path, command, grid, r_size, s_size):
+    rng = np.random.default_rng(2)
+    for name, size in (("r", r_size), ("s", s_size)):
+        np.savetxt(tmp_path / f"{name}.csv", rng.dirichlet(np.ones(size)), delimiter=",")
+    result = runner.invoke(main, [command, "--grid", str(grid), "--r", str(tmp_path / "r.csv"),
+                                  "--s", str(tmp_path / "s.csv"), "--lambda", "1",
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "o" / "plan.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--lambda", "inf"],
+                                   ["--lambda", "1", "--tol", "nan"],
+                                   ["--lambda", "nan", "--reg", "burg"],
+                                   ["--lambda", "inf", "--reg", "burg"]])
+def test_nonfinite_lambda_or_tol_exits_2(runner, tmp_path, flags):
+    paths = write_fixture(tmp_path)
+    result = runner.invoke(main, ["solve", "--cost", paths["cost"], "--r", paths["r"],
+                                  "--s", paths["s"], *flags, "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize("args", [["ci", "--n", "0"], ["ci", "--n", "-3"],
+                                  ["ci", "--n", "0", "--m", "0"],
+                                  ["bootstrap", "--B", "1", "--seed", "3"]])
+def test_sizes_that_would_print_nan_exit_2(runner, tmp_path, args):
+    paths = write_fixture(tmp_path)
+    np.savetxt(tmp_path / "data.csv", np.array([0, 1, 1, 0]), fmt="%d")
+    inputs = (["--data", str(tmp_path / "data.csv")] if args[0] == "bootstrap"
+              else ["--r", paths["r"]])
+    result = runner.invoke(main, [*args, *inputs, "--cost", paths["cost"], "--s", paths["s"],
+                                  "--lambda", "1", "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert "NaN" not in result.output
+
+
+@pytest.mark.parametrize("command", ["solve", "variance", "ci", "bootstrap", "rcol"])
+def test_manifest_replay_every_subcommand(runner, tmp_path, command):
+    paths = write_fixture(tmp_path)
+    problem = ["--cost", paths["cost"], "--r", paths["r"], "--s", paths["s"],
+               "--lambda0", "2.0"]
+    if command == "bootstrap":
+        np.savetxt(tmp_path / "data.csv", np.random.default_rng(0).integers(0, 2, 40),
+                   fmt="%d")
+        args = ["--data", str(tmp_path / "data.csv"), "--cost", paths["cost"],
+                "--s", paths["s"], "--lambda", "1.0", "--B", "20", "--seed", "3",
+                "--threads", "1"]
+    elif command == "rcol":
+        pa, pb = write_images(tmp_path)
+        args = ["--imgA", pa, "--imgB", pb, "--lambda0", "1.0", "--band", "gaussian",
+                "--M", "200", "--seed", "7", "--threads", "2"]
+    elif command == "variance":
+        args = [*problem, "--mode", "two", "--n", "50", "--m", "150",
+                "--gradient-out", "grad.csv"]
+    elif command == "ci":
+        args = [*problem, "--n", "400", "--m", "100", "--alpha", "0.1"]
+    else:
+        args = problem
+    manifests, data_files = [], []
+    for name, run_args in (("first", args),
+                           ("replay", ["--config", str(tmp_path / "first" /
+                                                       f"{command}_manifest.json")])):
+        out = tmp_path / name
+        result = runner.invoke(main, [command, *run_args, "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        manifests.append(json.loads((out / f"{command}_manifest.json").read_text()))
+        data_files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                           if not p.name.endswith("_manifest.json")})
+    assert data_files[0] == data_files[1]
+    assert manifests[0]["config"] == manifests[1]["config"]
+    for manifest in manifests:
+        assert "out_dir" not in manifest["config"]
+        assert "threads" not in manifest["config"]

@@ -217,3 +217,13 @@ def test_mc_cell_qq_data():
     v, q = rep.cells[0].qq_data()
     assert v.size == q.size == 50
     assert (np.diff(v) >= 0).all()
+
+
+def test_interval_and_bootstrap_refuse_degenerate_sizes(two_point_cost):
+    with pytest.raises(ValueError, match="at least 1"):
+        confidence_interval(0.1, 0.5, 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        confidence_interval(0.1, 0.5, 10, m=-2)
+    r_hat = empirical_distribution(np.array([0, 1, 1]), 2)
+    with pytest.raises(ValueError, match="at least two"):
+        bootstrap_statistic(r_hat, Prob([0.5, 0.5]), two_point_cost, 1.0, B=1, seed=0)

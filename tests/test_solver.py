@@ -291,3 +291,20 @@ def test_ot_limit_mean_matches_oversampled_oracle(two_point_cost, symmetric_half
     U = base.dual_vertices[:, :2]
     oracle = (G @ U.T).max(axis=1)
     assert abs(vals.mean() / oracle.mean() - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("r_size, s_size", [(2, 3), (4, 3), (3, 2), (3, 5)])
+def test_solve_reduced_rejects_marginal_size_mismatch(r_size, s_size):
+    C = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+    with pytest.raises(ValueError, match="do not match"):
+        solve_reduced(C, np.full(r_size, 1.0 / r_size), np.full(s_size, 1.0 / s_size),
+                      1.0, p=1.0)
+
+
+@pytest.mark.parametrize("lam, tol", [(np.nan, 1e-9), (np.inf, 1e-9), (-1.0, 1e-9),
+                                      (1.0, np.nan), (1.0, 0.0)])
+@pytest.mark.parametrize("reg", [None, rg.burg()])
+def test_solvers_refuse_bad_lambda_and_tol(two_point_cost, symmetric_half, lam, tol, reg):
+    w = symmetric_half.weights
+    with pytest.raises(ValueError, match="regularization strength|tolerance"):
+        solve_reduced(two_point_cost, w, w, lam, reg=reg, tol=tol)
