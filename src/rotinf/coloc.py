@@ -19,8 +19,8 @@ from scipy.spatial.distance import cdist
 from . import regularizers as rg
 from . import sensitivity as sens
 from . import solver as sv
-from ._util import child_seed, readonly_array, rng_for, run_indexed
-from .exceptions import ConvergenceError, NumericalError
+from ._util import child_seed, readonly_array, rng_for
+from .inference import _replicates
 from .space import METRICS, CostVector, GroundSpace, Prob
 
 DEFAULT_BAND_DRAWS = 2000
@@ -310,28 +310,18 @@ def _bootstrap_band_core(C_red, r_red, s_red, lam, p, B, alpha, seed, n,
     P, f, g, _, _ = sv.sinkhorn_matrix(C_red, r_red, s_red, lam, tol=tol, max_iter=max_iter)
     base_vals = _group_curve(groups.ravel(), P.ravel(), thresholds.size)
 
-    def one(b):
-        rng = rng_for(seed, b)
-        rstar = rng.multinomial(n, r_red) / n
-        sstar = rng.multinomial(n, s_red) / n
-        try:
-            sol = sv.solve_reduced(C_red, rstar, sstar, lam, p=p, tol=tol,
-                                   max_iter=max_iter, init=(f, g))
-        except (ConvergenceError, NumericalError):
-            return None
+    def replicate_curve(sol):
         # the replicate's support is a sub-block of C_red, so it reuses the groups
         block = groups[np.ix_(sol.row_support, sol.col_support)]
         return _group_curve(block.ravel(), sol.plan.entries, thresholds.size)
 
-    results = run_indexed(one, int(B), threads)
-    failures = sum(1 for x in results if x is None)
-    if failures > max_failure_rate * B:
-        raise ConvergenceError(f"{failures} of {B} bootstrap replicates failed to converge")
     # failed replicates keep their slot as NaN rows so that index pairing
     # across settings stays aligned
-    rep = np.array([np.full(thresholds.size, np.nan) if x is None else x
-                    for x in results])
+    rep = _replicates(C_red, r_red, s_red, n, lam, p, (f, g), replicate_curve, int(B), seed,
+                      resample_s=True, tol=tol, max_iter=max_iter, threads=threads,
+                      max_failure_rate=max_failure_rate)
     valid = ~np.isnan(rep[:, 0])
+    failures = int(B - valid.sum())
     sups = np.sqrt(n / 2.0) * np.abs(rep[valid] - base_vals).max(axis=1)
     u = float(np.quantile(sups, 1.0 - alpha))
     half = np.sqrt(2.0) * u / np.sqrt(n)

@@ -66,6 +66,54 @@ def _studentized(raw: float, sigma2: float) -> float:
     raise NumericalError("vanishing variance with a nonzero statistic")
 
 
+def _divergence_statistic(w0: float, rate: float, mode: str | None = None,
+                          delta: float | None = None):
+    """Statistic rate * (W(sol) - w0), studentized at the solution unless mode is None."""
+    def statistic(sol):
+        raw = rate * (sol.divergence() - w0)
+        return raw if mode is None else _studentized(raw, _sigma2_at(sol, mode, delta))
+    return statistic
+
+
+def _replicates(C, r, s, n, lam, p, warm, statistic, count, seed, *, resample_s=False,
+                tol, max_iter, threads, max_failure_rate=0.0) -> np.ndarray:
+    """Values of ``statistic`` at ``count`` resampled solutions, NaN where one failed.
+
+    Replicate k draws r* = Mult(n, r) / n and, with ``resample_s``, then
+    s* = Mult(n, s) / n from the stream (seed, k); otherwise s* = s. It solves
+    the problem between them on the reduced support from the warm start and
+    evaluates ``statistic`` on the solution. A ``ConvergenceError`` or
+    ``NumericalError`` from either step fails the replicate. Once failures
+    exceed ``max_failure_rate * count``, the first failed replicate's
+    exception type is raised with the failure count, its index and its reason.
+    """
+    errors = {}
+
+    def one(k):
+        rng = rng_for(seed, k)
+        rstar = rng.multinomial(n, r) / n
+        sstar = rng.multinomial(n, s) / n if resample_s else s
+        try:
+            sol = sv.solve_reduced(C, rstar, sstar, lam, p=p, tol=tol, max_iter=max_iter,
+                                   init=warm)
+            return statistic(sol)
+        except (ConvergenceError, NumericalError) as err:
+            errors[k] = err
+            return None
+
+    results = run_indexed(one, int(count), threads)
+    if len(errors) > max_failure_rate * count:
+        k = min(errors)
+        raise type(errors[k])(f"{len(errors)} of {count} replicates failed; the first, "
+                              f"replicate {k}: {errors[k]}") from errors[k]
+    shape = next((np.shape(x) for x in results if x is not None), ())
+    values = np.full((len(results),) + shape, np.nan)
+    for k, x in enumerate(results):
+        if x is not None:
+            values[k] = x
+    return values
+
+
 def sinkhorn_statistic(r: Prob, s: Prob, c: CostVector, lam: float, n: int,
                        replicates: int, seed: int, p: float | None = None,
                        studentize: bool = True, threads: int = 1,
@@ -76,34 +124,17 @@ def sinkhorn_statistic(r: Prob, s: Prob, c: CostVector, lam: float, n: int,
     Each replicate draws n observations from r, solves the plan between the
     empirical vector and s on the reduced support, and records
     sqrt(n) * (W(r_hat, s) - W(r, s)), studentized by the plug-in standard
-    deviation at (r_hat | s) when requested. Solver failures propagate with
-    the replicate index attached.
+    deviation at (r_hat | s) when requested. A failed replicate raises its
+    error with the replicate index attached.
     """
     p = c.p if p is None else p
-    C = c.matrix
-    base = sv.solve_reduced(C, r.weights, s.weights, lam, p=p, tol=tol, max_iter=max_iter)
-    w_pop = base.divergence()
-    warm = base.potentials
-    root_n = np.sqrt(n)
-
-    def one(k):
-        rng = rng_for(seed, k)
-        rhat = rng.multinomial(n, r.weights) / n
-        sol = sv.solve_reduced(C, rhat, s.weights, lam, p=p, tol=tol,
-                               max_iter=max_iter, init=warm)
-        raw = root_n * (sol.divergence() - w_pop)
-        if not studentize:
-            return raw
-        return _studentized(raw, _sigma2_at(sol, "one_sample"))
-
-    def wrapped(k):
-        try:
-            return one(k)
-        except (ConvergenceError, NumericalError) as err:
-            raise type(err)(f"replicate {k}: {err}") from err
-
-    vals = run_indexed(wrapped, int(replicates), threads)
-    return SampleDistribution(values=np.array(vals), kind="mc", n=int(n), seed=int(seed))
+    base = sv.solve_reduced(c.matrix, r.weights, s.weights, lam, p=p, tol=tol,
+                            max_iter=max_iter)
+    statistic = _divergence_statistic(base.divergence(), np.sqrt(n),
+                                      "one_sample" if studentize else None)
+    vals = _replicates(c.matrix, r.weights, s.weights, n, lam, p, base.potentials, statistic,
+                       replicates, seed, tol=tol, max_iter=max_iter, threads=threads)
+    return SampleDistribution(values=vals, kind="mc", n=int(n), seed=int(seed))
 
 
 def bootstrap_statistic(r_hat: Prob, s: Prob, c: CostVector, lam: float, B: int,
@@ -123,27 +154,12 @@ def bootstrap_statistic(r_hat: Prob, s: Prob, c: CostVector, lam: float, B: int,
     if n is None:
         raise ValueError("r_hat carries no sample size; pass n explicitly")
     p = c.p if p is None else p
-    C = c.matrix
-    base = sv.solve_reduced(C, r_hat.weights, s.weights, lam, p=p, tol=tol, max_iter=max_iter)
-    w_hat = base.divergence()
-    warm = base.potentials
-    root_n = np.sqrt(n)
-
-    def one(k):
-        rng = rng_for(seed, k)
-        rstar = rng.multinomial(n, r_hat.weights) / n
-        sol = sv.solve_reduced(C, rstar, s.weights, lam, p=p, tol=tol,
-                               max_iter=max_iter, init=warm)
-        return root_n * (sol.divergence() - w_hat)
-
-    def wrapped(k):
-        try:
-            return one(k)
-        except (ConvergenceError, NumericalError) as err:
-            raise type(err)(f"bootstrap replicate {k}: {err}") from err
-
-    vals = run_indexed(wrapped, int(B), threads)
-    return SampleDistribution(values=np.array(vals), kind="bootstrap", n=int(n), seed=int(seed))
+    base = sv.solve_reduced(c.matrix, r_hat.weights, s.weights, lam, p=p, tol=tol,
+                            max_iter=max_iter)
+    statistic = _divergence_statistic(base.divergence(), np.sqrt(n))
+    vals = _replicates(c.matrix, r_hat.weights, s.weights, n, lam, p, base.potentials,
+                       statistic, B, seed, tol=tol, max_iter=max_iter, threads=threads)
+    return SampleDistribution(values=vals, kind="bootstrap", n=int(n), seed=int(seed))
 
 
 def gaussian_limit_sampler(action: sens.PlanCovarianceAction, M: int, seed: int) -> np.ndarray:
@@ -258,18 +274,6 @@ class MCReport:
     cells: tuple[MCCell, ...]
 
 
-def _two_sample_replicate(C, rw, sw, n, lam, p, rng, tol, max_iter, w_pop,
-                          studentize, warm=None):
-    rhat = rng.multinomial(n, rw) / n
-    shat = rng.multinomial(n, sw) / n
-    sol = sv.solve_reduced(C, rhat, shat, lam, p=p, tol=tol, max_iter=max_iter,
-                           init=warm)
-    raw = np.sqrt(n / 2.0) * (sol.divergence() - w_pop)
-    if not studentize:
-        return raw
-    return _studentized(raw, _sigma2_at(sol, "two_sample", delta=0.5))
-
-
 def mc_experiment(config: MCConfig, threads: int = 1) -> MCReport:
     """Run the Monte Carlo sweep described by the configuration.
 
@@ -285,6 +289,8 @@ def mc_experiment(config: MCConfig, threads: int = 1) -> MCReport:
     C = c.matrix
     q50 = cost_quantile(c, 0.5)
     dim = space.n_points
+    two_sample = config.mode == "two_sample"
+    mode, delta = ("two_sample", 0.5) if two_sample else ("one_sample", None)
 
     pop_rng = rng_for(config.seed, 0)
     r = dirichlet_sample(config.dirichlet_alpha, dim, pop_rng)
@@ -304,40 +310,19 @@ def mc_experiment(config: MCConfig, threads: int = 1) -> MCReport:
             cell_seed = child_seed(config.seed, 1, cell_idx)
             base = sv.solve_reduced(C, r.weights, s.weights, lam, p=config.p,
                                     tol=config.tol, max_iter=config.max_iter)
-            w_pop = base.divergence()
-            sigma_pop2 = _sigma2_at(base, "one_sample") if config.mode != "two_sample" \
-                else _sigma2_at(base, "two_sample", delta=0.5)
-
-            warm = base.potentials
-
-            def one(k, lam=lam, w_pop=w_pop, n=n, cell_seed=cell_seed, warm=warm):
-                rng = rng_for(cell_seed, k)
-                if config.mode == "two_sample":
-                    return _two_sample_replicate(C, r.weights, s.weights, n, lam,
-                                                 config.p, rng, config.tol,
-                                                 config.max_iter, w_pop,
-                                                 config.studentize, warm=warm)
-                rhat = rng.multinomial(n, r.weights) / n
-                sol = sv.solve_reduced(C, rhat, s.weights, lam, p=config.p,
-                                       tol=config.tol, max_iter=config.max_iter,
-                                       init=warm)
-                raw = np.sqrt(n) * (sol.divergence() - w_pop)
-                if not config.studentize:
-                    return raw
-                return _studentized(raw, _sigma2_at(sol, "one_sample"))
-
-            def guarded(k):
-                try:
-                    return one(k)
-                except (ConvergenceError, NumericalError):
-                    return np.nan
-
-            raw_vals = np.array(run_indexed(guarded, config.replicates, threads))
+            rate = np.sqrt(n / 2.0) if two_sample else np.sqrt(n)
+            sigma_pop2 = _sigma2_at(base, mode, delta)
+            statistic = _divergence_statistic(base.divergence(), rate,
+                                              mode if config.studentize else None, delta)
+            try:
+                raw_vals = _replicates(C, r.weights, s.weights, n, lam, config.p,
+                                       base.potentials, statistic, config.replicates,
+                                       cell_seed, resample_s=two_sample, tol=config.tol,
+                                       max_iter=config.max_iter, threads=threads,
+                                       max_failure_rate=config.max_failure_rate)
+            except (ConvergenceError, NumericalError) as err:
+                raise type(err)(f"cell (lambda0={lam0}, n={n}): {err}") from err
             failures = int(np.isnan(raw_vals).sum())
-            if failures > config.max_failure_rate * config.replicates:
-                raise ConvergenceError(
-                    f"cell (lambda0={lam0}, n={n}): {failures} of "
-                    f"{config.replicates} replicates failed")
             vals = raw_vals[~np.isnan(raw_vals)]
             sample = SampleDistribution(values=vals, kind="mc", n=n, seed=cell_seed)
 

@@ -191,6 +191,8 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         raise ValueError("regularization strength must be finite and positive")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
+    if not np.isfinite(C).all():
+        raise ValueError("cost matrix must be finite")
     if (r <= 0).any() or (s <= 0).any():
         raise ReductionRequiredError("marginals must be strictly positive; reduce the support first")
     n1, n2 = C.shape
@@ -276,6 +278,8 @@ def newton_matrix(reg: rg.Regularizer, C, r, s, lam, tol=DEFAULT_TOL, max_iter=2
         raise ValueError("regularization strength must be finite and positive")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
+    if not np.isfinite(C).all():
+        raise ValueError("cost matrix must be finite")
     if (r <= 0).any() or (s <= 0).any():
         raise ReductionRequiredError("marginals must be strictly positive; reduce the support first")
     n1, n2 = C.shape
@@ -296,9 +300,9 @@ def newton_matrix(reg: rg.Regularizer, C, r, s, lam, tol=DEFAULT_TOL, max_iter=2
             return None, -np.inf
         with np.errstate(over="ignore", invalid="ignore"):
             pi = rg.conjugate_grad(reg, y)
-        if not np.isfinite(pi).all() or (pi <= 0).any():
+            fstar = float(pi @ y) - rg.value(reg, pi)
+        if not np.isfinite(pi).all() or (pi <= 0).any() or not np.isfinite(fstar):
             return None, -np.inf
-        fstar = float(pi @ y) - rg.value(reg, pi)
         return pi, float(mu_try @ b) - lam * fstar
 
     pi, gval = state(mu)

@@ -389,3 +389,16 @@ def test_manifest_replay_every_subcommand(runner, tmp_path, command):
     for manifest in manifests:
         assert "out_dir" not in manifest["config"]
         assert "threads" not in manifest["config"]
+
+
+def test_mc_vanishing_variance_exits_numerical(runner, tmp_path):
+    # a replicate whose plug-in variance vanishes under a nonzero statistic is
+    # a numerical failure, not a solver that failed to converge
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"L": 2, "lambda0": [2.0], "n": [12],
+                                    "replicates": 15, "seed": 4}))
+    result = runner.invoke(main, ["mc", "--config", str(cfg_path), "--seed", "9",
+                                  "--threads", "1", "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 5, result.output
+    assert "1 of 15 replicates failed" in result.output
+    assert "vanishing variance" in result.output

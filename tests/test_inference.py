@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 import rotinf.regularizers as rg
-from rotinf import (ConvergenceError, MCConfig, Prob, bootstrap_statistic,
+from rotinf import (ConvergenceError, MCConfig, NumericalError, Prob, bootstrap_statistic,
                     build_grid_space, confidence_interval, cost_from_metric,
                     cost_quantile, dirichlet_sample, empirical_distribution,
                     gaussian_limit_sampler, ks_distance, mc_experiment,
@@ -227,3 +227,65 @@ def test_interval_and_bootstrap_refuse_degenerate_sizes(two_point_cost):
     r_hat = empirical_distribution(np.array([0, 1, 1]), 2)
     with pytest.raises(ValueError, match="at least two"):
         bootstrap_statistic(r_hat, Prob([0.5, 0.5]), two_point_cost, 1.0, B=1, seed=0)
+
+
+@pytest.fixture
+def fail_replicates(monkeypatch):
+    """Make the warm-started solves of the given replicate indices raise.
+
+    Replicates are solved from the base solution's potentials; run serially,
+    the k-th warm-started solve is replicate k.
+    """
+    import rotinf.solver as sv_mod
+
+    real = sv_mod.solve_reduced
+
+    def install(indices):
+        warm_calls = []
+
+        def flaky(*args, **kwargs):
+            if kwargs.get("init") is not None:
+                warm_calls.append(None)
+                if len(warm_calls) - 1 in indices:
+                    raise NumericalError("synthetic replicate failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sv_mod, "solve_reduced", flaky)
+    return install
+
+
+def test_statistics_raise_the_failed_replicates_error(fail_replicates):
+    rng = np.random.default_rng(12)
+    c, r, s = random_instance(rng, 4)
+    fail_replicates({7})
+    with pytest.raises(NumericalError, match=r"1 of 20 replicates failed.*replicate 7: synthetic"):
+        sinkhorn_statistic(r, s, c, 0.8, n=40, replicates=20, seed=1)
+    fail_replicates({3})
+    r_hat = empirical_distribution(rng.choice(4, size=50, p=r.weights), 4)
+    with pytest.raises(NumericalError, match=r"1 of 20 replicates failed.*replicate 3: synthetic"):
+        bootstrap_statistic(r_hat, s, c, 0.8, B=20, seed=2)
+
+
+def test_mc_cell_raises_the_failed_replicates_error(fail_replicates):
+    fail_replicates({4})
+    cfg = MCConfig(L=2, lambda0=(2.0,), n=(15,), replicates=30, seed=17)
+    with pytest.raises(NumericalError, match=r"1 of 30 replicates failed.*replicate 4"):
+        mc_experiment(cfg, threads=1)
+
+
+def test_bootstrap_band_failure_rate(fail_replicates):
+    from rotinf.coloc import rcol_cb_bootstrap, resample_distribution
+
+    rng = np.random.default_rng(13)
+    c, r, s = random_instance(rng, 3)
+    r_hat = resample_distribution(r, 100, seed=1)
+    s_hat = resample_distribution(s, 100, seed=2)
+    fail_replicates({5, 10, 15, 20})  # 4 of 60 exceeds the 5% rate
+    with pytest.raises(NumericalError, match=r"4 of 60 replicates failed.*replicate 5"):
+        rcol_cb_bootstrap(r_hat, s_hat, c, 0.8, B=60, seed=3)
+    fail_replicates({8, 30})
+    band = rcol_cb_bootstrap(r_hat, s_hat, c, 0.8, B=60, seed=3, keep_replicates=True)
+    assert band.failures == 2
+    failed = np.isnan(band.replicates).all(axis=1)
+    assert np.flatnonzero(failed).tolist() == [8, 30]
+    assert np.isfinite(band.replicates[~failed]).all()

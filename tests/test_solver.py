@@ -1,3 +1,6 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import bisect, minimize_scalar
@@ -8,7 +11,7 @@ from rotinf import (ConvergenceError, CostVector, GroundSpace, Prob,
                     divergence, dual_potentials, exact_ot_baseline,
                     ot_limit_sample, sinkhorn_entropy, solve_general,
                     solve_reduced)
-from rotinf.solver import sinkhorn_matrix
+from rotinf.solver import newton_matrix, sinkhorn_matrix
 
 from conftest import random_instance
 
@@ -308,3 +311,33 @@ def test_solvers_refuse_bad_lambda_and_tol(two_point_cost, symmetric_half, lam, 
     w = symmetric_half.weights
     with pytest.raises(ValueError, match="regularization strength|tolerance"):
         solve_reduced(two_point_cost, w, w, lam, reg=reg, tol=tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", [
+    lambda C, w: sinkhorn_matrix(C, w, w, 1.0),
+    lambda C, w: newton_matrix(rg.entropy(), C, w, w, 1.0),
+], ids=["sinkhorn", "newton"])
+def test_solvers_refuse_nonfinite_cost_at_once(bad, solve):
+    C = np.array([[0.0, bad], [1.0, 0.0]])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cost matrix must be finite"):
+        solve(C, np.array([0.5, 0.5]))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_newton_line_search_overflow_is_rejected_quietly():
+    # a trial point of this instance overflows pi @ y; it must be rejected as
+    # infeasible without a RuntimeWarning leaking out
+    C = np.array([[1.9756282418523599, 1.5943875993513277, 1.250352414565723],
+                  [1.0560779248714491, 0.12186673956271454, 2.9489012117365463],
+                  [0.2255918654590956, 0.07639826948162332, 0.6459087540181682]])
+    r = np.array([0.0440770690821529, 0.3596454580540866, 0.5962774728637604])
+    s = np.array([0.10266432203740324, 0.00177149725538628, 0.8955641807072104])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pi, _, _, res = newton_matrix(rg.entropy(), C, r, s, 0.1)
+    P = pi.reshape(3, 3)
+    assert res <= 1e-9
+    assert np.abs(P.sum(axis=1) - r).max() <= 1e-9
+    assert np.abs(P.sum(axis=0) - s).max() <= 1e-9
