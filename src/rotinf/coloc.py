@@ -37,12 +37,14 @@ class IntensityImage:
         arr = np.atleast_2d(np.asarray(self.intensities, dtype=float))
         if arr.ndim != 2:
             raise ValueError("intensities must form a 2-D pixel array")
+        if not np.isfinite(arr).all():
+            raise ValueError("intensities must be finite")
         if (arr < 0).any():
             raise ValueError("intensities must be nonnegative")
         if not (arr > 0).any():
             raise ValueError("image must contain at least one positive intensity")
-        if self.pixel_size <= 0:
-            raise ValueError("pixel size must be positive")
+        if not 0.0 < self.pixel_size < np.inf:
+            raise ValueError("pixel size must be finite and positive")
         object.__setattr__(self, "intensities", readonly_array(arr))
 
     @property
@@ -99,7 +101,10 @@ def read_image(path, pixel_size: float = 1.0) -> IntensityImage:
         arr = _read_pgm(path)
     else:
         arr = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
-    return IntensityImage(intensities=arr, pixel_size=pixel_size)
+    try:
+        return IntensityImage(intensities=arr, pixel_size=pixel_size)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def image_to_distribution(img: IntensityImage) -> tuple[GroundSpace, Prob]:

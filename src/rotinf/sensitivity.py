@@ -6,7 +6,9 @@ The regularized plan, viewed as a function of the reduced marginal vector
     grad_phi = H^{-1} A^T [A H^{-1} A^T]^{-1},
 
 where H is the (diagonal) penalty Hessian at the solved plan and A the
-reduced marginal operator. Every covariance here is a congruence of the
+reduced marginal operator. The bracketed Gram matrix is inverted through the
+solver's ``GramFactor``, the row-block Schur complement that the Newton
+iteration factors too. Every covariance here is a congruence of the
 multinomial covariance through blocks of this gradient; the covariance of the
 plan itself is exposed both as a dense matrix (small instances) and as a
 matrix action that samples and multiplies without materializing anything of
@@ -18,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import regularizers as rg
 from ._util import readonly_array
-from .exceptions import NumericalError, ReductionRequiredError
-from .solver import TransportPlan, _reduced_gram
+from .exceptions import NumericalError
+from .solver import GramFactor, TransportPlan
 from .space import ConstraintOperator, CostVector, Prob
 
 # Largest plan dimension for which N^2 x N^2 covariances are materialized
@@ -66,69 +67,39 @@ class SensitivityResult:
 
 
 def _plan_weights(reg: rg.Regularizer, plan: TransportPlan) -> np.ndarray:
-    """Inverse Hessian diagonal of the penalty at the plan."""
+    """Inverse Hessian diagonal of the penalty at the plan, shaped like the plan."""
     if reg.kind == "entropy":
-        return np.asarray(plan.entries)
-    return 1.0 / rg.hess_diag(reg, plan.entries)
+        return plan.matrix
+    return 1.0 / rg.hess_diag(reg, plan.matrix)
 
 
-def _gram_factor(reg, plan):
-    w = _plan_weights(reg, plan)
-    M = _reduced_gram(w.reshape(plan.n_rows, plan.n_cols))
-    try:
-        return w, cho_factor(M)
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"reduced marginal system is numerically singular: {err}") from err
-
-
-def _apply_adjoint(op: ConstraintOperator, X: np.ndarray) -> np.ndarray:
-    """A^T applied to each column of X, shape (n_rows*n_cols, X.shape[1])."""
-    Xr = X[: op.n_rows]
-    Xc = np.vstack([X[op.n_rows :], np.zeros((1, X.shape[1]))])
-    return (Xr[:, None, :] + Xc[None, :, :]).reshape(-1, X.shape[1])
+def _jacobian(factor: GramFactor) -> np.ndarray:
+    """The plan gradient diag(w) A^T M^{-1}, one column per reduced marginal entry."""
+    op = ConstraintOperator(factor.n_rows, factor.n_cols)
+    X = factor.solve(np.eye(op.n_constraints_reduced))
+    return factor.weights.reshape(-1, 1) * op.apply_transpose_reduced(X)
 
 
 def plan_gradient(reg: rg.Regularizer, plan: TransportPlan) -> SensitivityResult:
     """Gradient of the solved plan with respect to the reduced marginals.
 
-    The reduced system is solved by a symmetric positive-definite
-    factorization against the identity; the entropy penalty uses the plan
-    entries themselves as the inverse Hessian diagonal.
+    The reduced system is solved against the identity through the Gram
+    factor; the entropy penalty uses the plan entries themselves as the
+    inverse Hessian diagonal.
     """
-    n1, n2 = plan.n_rows, plan.n_cols
-    w, chol = _gram_factor(reg, plan)
-    op = ConstraintOperator(n1, n2)
-    X = cho_solve(chol, np.eye(n1 + n2 - 1))
-    grad = w[:, None] * _apply_adjoint(op, X)
-    return SensitivityResult(grad_phi=grad, n_rows=n1, n_cols=n2)
+    grad = _jacobian(GramFactor(_plan_weights(reg, plan)))
+    return SensitivityResult(grad_phi=grad, n_rows=plan.n_rows, n_cols=plan.n_cols)
 
 
 def entropy_block_schur(plan: TransportPlan) -> np.ndarray:
     """First n_rows columns of the inverse reduced Gram matrix, entropy case.
 
-    The Gram matrix of an entropy plan has blocks [diag(row sums), Pi;
-    Pi^T, diag(col sums minus last)] with Pi the plan matrix less its last
-    column, so a Schur complement in the row block inverts it directly. The
-    blocks are taken from the plan's own marginal sums, which coincide with
-    (r, s) up to the solver residual.
+    The blocks are the plan's own marginal sums, which coincide with (r, s)
+    up to the solver residual.
     """
     if plan.reg.kind != "entropy":
         raise ValueError("the block-Schur path applies to entropy plans only")
-    P = plan.matrix
-    rows = P.sum(axis=1)
-    cols = P.sum(axis=0)
-    s_star = cols[:-1]
-    if (s_star <= 0).any():
-        raise ReductionRequiredError("column marginal has zero entries; reduce the support first")
-    Pi = P[:, :-1]
-    K = np.diag(rows) - Pi @ (Pi / s_star).T
-    try:
-        chol = cho_factor(K)
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"Schur complement is numerically singular: {err}") from err
-    top = cho_solve(chol, np.eye(plan.n_rows))
-    bottom = -(Pi / s_star[None, :]).T @ top
-    return np.vstack([top, bottom])
+    return GramFactor(plan.matrix).solve(np.eye(plan.n_rows + plan.n_cols - 1, plan.n_rows))
 
 
 class PlanCovarianceAction:
@@ -153,7 +124,7 @@ class PlanCovarianceAction:
         self.n_cols = plan.n_cols
         self.dim = self.n_rows * self.n_cols
         self._op = ConstraintOperator(self.n_rows, self.n_cols)
-        self._w, self._chol = _gram_factor(reg, plan)
+        self._factor = GramFactor(_plan_weights(reg, plan))
         self._r = np.asarray(plan.r.weights)
         self._s = np.asarray(plan.s.weights)
         self._sqrt_r = np.sqrt(self._r)
@@ -161,13 +132,8 @@ class PlanCovarianceAction:
 
     def _j_transpose(self, v) -> np.ndarray:
         """J_full^T v, length n_rows + n_cols - 1."""
-        t = self._op.apply_reduced(self._w * np.asarray(v, dtype=float).ravel())
-        return cho_solve(self._chol, t)
-
-    def _j_apply(self, z) -> np.ndarray:
-        """J_full z for z of length n_rows + n_cols - 1."""
-        x = cho_solve(self._chol, np.asarray(z, dtype=float).ravel())
-        return self._w * self._op.apply_transpose_reduced(x)
+        t = self._op.apply_reduced(self.weights * np.asarray(v, dtype=float).ravel())
+        return self._factor.solve(t)
 
     def _b_apply(self, t) -> np.ndarray:
         n1 = self.n_rows
@@ -185,7 +151,8 @@ class PlanCovarianceAction:
 
     def matvec(self, v) -> np.ndarray:
         """Sigma v for a flat plan-space vector v."""
-        return self._j_apply(self._b_apply(self._j_transpose(v)))
+        x = self._factor.solve(self._b_apply(self._j_transpose(v)))
+        return self.weights * self._op.apply_transpose_reduced(x)
 
     def quad_form(self, v) -> float:
         """v^T Sigma v."""
@@ -199,7 +166,7 @@ class PlanCovarianceAction:
     @property
     def weights(self) -> np.ndarray:
         """Inverse Hessian diagonal w at the plan, flat of length dim."""
-        return self._w
+        return self._factor.weights.ravel()
 
     def sample_reduced(self, M: int, rng) -> np.ndarray:
         """Reduced coordinates of M Gaussian draws, shape (M, n_rows + n_cols - 1).
@@ -222,12 +189,12 @@ class PlanCovarianceAction:
             Ur = _multinomial_factor_apply(self._r, self._sqrt_r, Zr)
             Us = _multinomial_factor_apply(self._s, self._sqrt_s, Zs)[:, :-1]
             T = np.hstack([np.sqrt(self.delta) * Ur, np.sqrt(1.0 - self.delta) * Us])
-        return cho_solve(self._chol, T.T).T
+        return self._factor.solve(T.T).T
 
     def sample(self, M: int, rng) -> np.ndarray:
         """M Gaussian draws with covariance Sigma, shape (M, dim)."""
         X = self.sample_reduced(M, rng)
-        return (self._w[:, None] * _apply_adjoint(self._op, X.T)).T
+        return (self.weights[:, None] * self._op.apply_transpose_reduced(X.T)).T
 
     def dense(self) -> np.ndarray:
         """Materialized Sigma; refused beyond small instances."""
@@ -236,8 +203,7 @@ class PlanCovarianceAction:
                 f"refusing to materialize a {self.dim} x {self.dim} covariance; "
                 "use the matrix action instead")
         n1, n2 = self.n_rows, self.n_cols
-        X = cho_solve(self._chol, np.eye(n1 + n2 - 1))
-        J = self._w[:, None] * _apply_adjoint(self._op, X)
+        J = _jacobian(self._factor)
         if self.mode == "one_sample":
             Jr = J[:, :n1]
             return Jr @ multinomial_cov(self._r) @ Jr.T

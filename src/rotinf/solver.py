@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy import linalg
 from scipy.optimize import linprog
 
 from . import regularizers as rg
@@ -78,6 +78,26 @@ def _logsumexp(T, axis):
     m = T.max(axis=axis, keepdims=True)
     out = np.log(np.exp(T - m).sum(axis=axis)) + m.squeeze(axis=axis)
     return out
+
+
+def _check_problem(C, r, s, lam, tol):
+    """Validate a raw problem for the solvers and return it as float arrays."""
+    C = np.asarray(C, dtype=float)
+    r = np.asarray(r, dtype=float).ravel()
+    s = np.asarray(s, dtype=float).ravel()
+    if not 0.0 < lam < np.inf:
+        raise ValueError("regularization strength must be finite and positive")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    if not np.isfinite(C).all():
+        raise ValueError("cost matrix must be finite")
+    if not (np.isfinite(r).all() and np.isfinite(s).all()):
+        raise ValueError("marginals must be finite")
+    if (r <= 0).any() or (s <= 0).any():
+        raise ReductionRequiredError("marginals must be strictly positive; reduce the support first")
+    if C.ndim != 2 or C.shape != (r.size, s.size):
+        raise ValueError("marginal sizes do not match the cost matrix")
+    return C, r, s
 
 
 def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None):
@@ -184,20 +204,8 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     iterations : int
     residual : float
     """
-    C = np.asarray(C, dtype=float)
-    r = np.asarray(r, dtype=float).ravel()
-    s = np.asarray(s, dtype=float).ravel()
-    if not 0.0 < lam < np.inf:
-        raise ValueError("regularization strength must be finite and positive")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    if not np.isfinite(C).all():
-        raise ValueError("cost matrix must be finite")
-    if (r <= 0).any() or (s <= 0).any():
-        raise ReductionRequiredError("marginals must be strictly positive; reduce the support first")
+    C, r, s = _check_problem(C, r, s, lam, tol)
     n1, n2 = C.shape
-    if r.size != n1 or s.size != n2:
-        raise ValueError("marginal sizes do not match the cost matrix")
     if n1 == 1 or n2 == 1:
         # a single row or column leaves no freedom; the product plan is exact
         P = np.outer(r, s)
@@ -246,8 +254,41 @@ def sinkhorn_entropy(c: CostVector, r: Prob, s: Prob, lam: float,
                          reg=rg.entropy(), p=c.p, iterations=it, residual=res)
 
 
+class GramFactor:
+    """Factor of the reduced marginal Gram matrix M = A_red diag(W) A_red^T.
+
+    ``W`` holds the (n_rows, n_cols) inverse Hessian weights: the plan for
+    entropy, 1/f'' otherwise. M = [diag(row sums), V; V^T, diag(c)] with V
+    the weights less their last column and c its column sums; the Schur
+    complement K = diag(row sums) - V diag(1/c) V^T is factored once.
+    """
+
+    def __init__(self, W):
+        self.weights = np.asarray(W, dtype=float)
+        self.n_rows, self.n_cols = self.weights.shape
+        self._v = self.weights[:, :-1]
+        self._c = self._v.sum(axis=0)
+        if (self._c <= 0).any():
+            raise ReductionRequiredError("column marginal has zero entries; reduce the support first")
+        self._vc = self._v / self._c
+        K = np.diag(self.weights.sum(axis=1)) - self._v @ self._vc.T
+        try:
+            self._chol, self._lower = linalg.cho_factor(K)
+        except np.linalg.LinAlgError as err:
+            raise NumericalError(f"reduced marginal system is numerically singular: {err}") from err
+
+    def solve(self, B) -> np.ndarray:
+        """M^{-1} B for a vector or a matrix B with n_rows + n_cols - 1 rows."""
+        B = np.asarray_chkfinite(B, dtype=float)
+        top, bottom = B[: self.n_rows], B[self.n_rows :]
+        # potrs itself: at replicate sizes cho_solve's wrapper costs more than the solve
+        x_top = linalg.lapack.dpotrs(self._chol, top - self._vc @ bottom, lower=self._lower)[0]
+        c = self._c if B.ndim == 1 else self._c[:, None]
+        return np.concatenate([x_top, (bottom - self._v.T @ x_top) / c])
+
+
 def _reduced_gram(W):
-    """Dense A_red diag(w) A_red^T assembled from its marginal block structure."""
+    """Dense A_red diag(w) A_red^T: the oracle that tests check GramFactor against."""
     n1, n2 = W.shape
     m = n1 + n2 - 1
     M = np.zeros((m, m))
@@ -271,17 +312,7 @@ def newton_matrix(reg: rg.Regularizer, C, r, s, lam, tol=DEFAULT_TOL, max_iter=2
 
     Returns (pi_flat, mu, iterations, residual).
     """
-    C = np.asarray(C, dtype=float)
-    r = np.asarray(r, dtype=float).ravel()
-    s = np.asarray(s, dtype=float).ravel()
-    if not 0.0 < lam < np.inf:
-        raise ValueError("regularization strength must be finite and positive")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    if not np.isfinite(C).all():
-        raise ValueError("cost matrix must be finite")
-    if (r <= 0).any() or (s <= 0).any():
-        raise ReductionRequiredError("marginals must be strictly positive; reduce the support first")
+    C, r, s = _check_problem(C, r, s, lam, tol)
     n1, n2 = C.shape
     c = C.ravel()
     if reg.kind == "lp_quasi":
@@ -319,13 +350,7 @@ def newton_matrix(reg: rg.Regularizer, C, r, s, lam, tol=DEFAULT_TOL, max_iter=2
                 f"Newton did not reach tolerance {tol:g} within {max_iter} iterations "
                 f"(residual {res:.3e})", residual=res, iterations=it)
         it += 1
-        w = 1.0 / rg.hess_diag(reg, pi)
-        M = _reduced_gram(w.reshape(n1, n2)) / lam
-        try:
-            chol = cho_factor(M)
-        except np.linalg.LinAlgError as err:
-            raise NumericalError(f"reduced dual system is numerically singular: {err}") from err
-        d = cho_solve(chol, -F)
+        d = GramFactor(1.0 / rg.hess_diag(reg, pi).reshape(n1, n2) / lam).solve(-F)
         slope = -float(F @ d)  # directional derivative of the dual objective
         rounding = 1e-14 * max(1.0, abs(gval))  # near the optimum the increase
         t = 1.0                                 # falls below double precision
@@ -437,6 +462,8 @@ def solve_reduced(cost, r_weights, s_weights, lam, reg: rg.Regularizer | None = 
     if (rw.size, sw.size) != C.shape:
         raise ValueError(f"marginal sizes {rw.size} and {sw.size} do not match "
                          f"the {C.shape[0]} x {C.shape[1]} cost matrix")
+    if not all(np.isfinite(w).all() and (w >= 0).all() for w in (rw, sw)):
+        raise ValueError("marginal weights must be finite and nonnegative")
     rows = np.flatnonzero(rw > 0)
     cols = np.flatnonzero(sw > 0)
     C_red = C[np.ix_(rows, cols)]

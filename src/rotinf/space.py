@@ -224,12 +224,13 @@ class ConstraintOperator:
         return np.concatenate([P.sum(axis=1), P.sum(axis=0)[:-1]])
 
     def apply_transpose_reduced(self, mu) -> np.ndarray:
-        mu = np.asarray(mu, dtype=float).ravel()
-        if mu.size != self.n_constraints_reduced:
+        """A_red^T mu; a matrix mu is mapped column by column."""
+        mu = np.asarray(mu, dtype=float)
+        if mu.shape[:1] != (self.n_constraints_reduced,):
             raise ValueError("multiplier vector has wrong length")
         a = mu[: self.n_rows]
-        b = np.append(mu[self.n_rows :], 0.0)
-        return (a[:, None] + b[None, :]).ravel()
+        b = np.concatenate([mu[self.n_rows :], np.zeros((1,) + mu.shape[1:])])
+        return (a[:, None] + b[None, :]).reshape((-1,) + mu.shape[1:])
 
     def materialize(self) -> np.ndarray:
         """Dense A, shape (n_rows + n_cols, n_rows * n_cols); tests only."""

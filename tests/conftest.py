@@ -1,7 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from rotinf import GroundSpace, Prob, build_grid_space, cost_from_metric
+
+# property tests replay the same examples on every run and write nothing: no
+# example database, and an unwritable home for hypothesis's source-constant cache
+settings.register_profile("rotinf", derandomize=True, database=None, deadline=5000,
+                          max_examples=40)
+settings.load_profile("rotinf")
+set_hypothesis_home_dir(os.devnull)
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@ and the grid-offset median behind lam0."""
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
 import rotinf.regularizers as rg
@@ -36,11 +35,11 @@ def reference_sample(action, M, rng):
         Ur = _multinomial_factor_apply(action._r, action._sqrt_r, Zr)
         Us = _multinomial_factor_apply(action._s, action._sqrt_s, Zs)[:, :-1]
         T = np.hstack([np.sqrt(action.delta) * Ur, np.sqrt(1.0 - action.delta) * Us])
-    X = cho_solve(action._chol, T.T).T
+    X = action._factor.solve(T.T).T
     Xr = X[:, :n1]
     Xc = np.hstack([X[:, n1:], np.zeros((M, 1))])
     out = (Xr[:, :, None] + Xc[:, None, :]).reshape(M, action.dim)
-    out *= action._w
+    out *= action.weights
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -217,6 +218,20 @@ def test_rcol_requires_seed(runner, tmp_path):
     result = runner.invoke(main, ["rcol", "--imgA", pa, "--imgB", pb,
                                   "--resample", "100", "--lambda0", "1.0"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_rcol_refuses_nonfinite_image(runner, tmp_path, bad):
+    pa, pb = write_images(tmp_path)
+    bad_path = tmp_path / f"{bad}.csv"
+    bad_path.write_text("1,2,3\n4,%s,6\n7,8,9\n" % bad)
+    start = time.perf_counter()
+    result = runner.invoke(main, ["rcol", "--imgA", pa, "--imgB", str(bad_path),
+                                  "--resample", "100", "--lambda0", "1.0", "--seed", "7",
+                                  "--band", "none", "--out-dir", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert f"{bad}.csv: intensities must be finite" in result.stderr
 
 
 def test_manifest_replay_reproduces_outputs(runner, tmp_path):

@@ -42,6 +42,12 @@ def test_image_rejects_all_zero():
         IntensityImage(intensities=np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("pixel_size", [0.0, -1.0, np.nan, np.inf])
+def test_image_rejects_bad_pixel_size(pixel_size):
+    with pytest.raises(ValueError, match="pixel size must be finite and positive"):
+        IntensityImage(intensities=np.ones((2, 2)), pixel_size=pixel_size)
+
+
 def test_pgm_roundtrip(tmp_path):
     # plain and raw variants, 8- and 16-bit
     plain = tmp_path / "a.pgm"

@@ -326,6 +326,31 @@ def test_solvers_refuse_nonfinite_cost_at_once(bad, solve):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", [
+    lambda C, r, s: sinkhorn_matrix(C, r, s, 1.0),
+    lambda C, r, s: newton_matrix(rg.entropy(), C, r, s, 1.0),
+], ids=["sinkhorn", "newton"])
+def test_solvers_refuse_nonfinite_marginals_at_once(bad, solve):
+    C = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+    w = np.array([bad, 0.5, 0.5])
+    start = time.perf_counter()
+    for r, s in ((w, w[::-1]), (w[::-1], w)):
+        with pytest.raises(ValueError, match="marginals must be finite"):
+            solve(C, r, s)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.5], [-0.2, 0.6, 0.6]],
+                         ids=["nan", "negative"])
+def test_solve_reduced_refuses_bad_weights(weights):
+    C = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+    good = np.full(3, 1.0 / 3.0)
+    for r, s in ((weights, good), (good, weights)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            solve_reduced(C, r, s, 1.0, p=1.0)
+
+
 def test_newton_line_search_overflow_is_rejected_quietly():
     # a trial point of this instance overflows pi @ y; it must be rejected as
     # infeasible without a RuntimeWarning leaking out
