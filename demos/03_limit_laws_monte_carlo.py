@@ -16,7 +16,7 @@ def main():
     # KS to the standard normal across regularization strengths and sample sizes
     cfg = ri.MCConfig(L=3, lambda0=(2.0, 0.6, 0.2), n=(25, 100), replicates=2000,
                       seed=7)
-    report = ri.mc_experiment(cfg, threads=2)
+    report = ri.mc_experiment(cfg)
     print("KS distance of the studentized statistic to N(0,1):")
     print(f"  {'lambda0':>8s} {'n':>6s} {'KS':>8s}")
     for cell in report.cells:
@@ -33,7 +33,7 @@ def main():
     # tiny regularization: compare against the non-regularized limit sample
     cfg2 = ri.MCConfig(L=2, lambda0=(0.05,), n=(25,), replicates=2000, seed=21,
                        studentize=False, compare_ot_limit=True, tol=1e-5)
-    rep2 = ri.mc_experiment(cfg2, threads=2)
+    rep2 = ri.mc_experiment(cfg2)
     cell2 = rep2.cells[0]
     print(f"\nlambda0 = 0.05, n = 25 on four points:")
     print(f"  KS to the Gaussian limit:        {cell2.ks_normal:.4f}")

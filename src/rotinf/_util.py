@@ -1,8 +1,6 @@
-"""Seed derivation and replicate execution helpers."""
+"""Seed derivation and read-only array helpers."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -17,20 +15,6 @@ def child_seed(seed, *key):
     """Derive an integer sub-seed, for handing a whole stream to a sub-task."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def run_indexed(fn, count, threads=1):
-    """Evaluate fn(k) for k in range(count).
-
-    Results are collected by index, so serial and threaded execution return
-    identical lists as long as fn is a pure function of k.
-    """
-    if threads is None:
-        threads = 1
-    if threads <= 1 or count <= 1:
-        return [fn(k) for k in range(count)]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def readonly_array(values, dtype=float):

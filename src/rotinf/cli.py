@@ -3,8 +3,8 @@
 Every subcommand resolves its configuration, computes, writes data artifacts
 atomically (temp file plus rename, so failures leave no partial outputs),
 records a run manifest, and prints a machine-readable JSON result on stdout.
-All randomness flows from --seed; rerunning a seeded command is bit-identical
-at any --threads value.
+All randomness flows from --seed; rerunning a seeded command is bit-identical.
+--threads is accepted and ignored: replicates are solved in one batch.
 
 Exit codes: 0 ok, 2 usage or configuration error, 3 I/O error,
 4 convergence failure, 5 numerical failure.
@@ -104,15 +104,6 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _resolve_threads(threads):
-    if threads is not None:
-        return int(threads)
-    env = os.environ.get("ROT_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def _load_cost(cost, grid, extent, metric, p):
     """Cost from a CSV file or from grid flags."""
     if (cost is None) == (grid is None):
@@ -209,7 +200,7 @@ _seed_options = [
     click.option("--seed", type=int, default=None,
                  help="Seed of every random stream; for mc it overrides the config seed."),
     click.option("--threads", type=int, default=None,
-                 help="Worker threads; ROT_THREADS, then the CPU count, by default."),
+                 help="Accepted for compatibility; affects neither results nor speed."),
 ]
 
 _config_option = click.option("--config", type=click.Path(dir_okay=False), default=None,
@@ -225,7 +216,7 @@ def main():
 def _subcommand(name, *option_groups):
     """Register the decorated body as the subcommand ``name``.
 
-    The wrapper applies --config, creates --out-dir, resolves --threads, maps
+    The wrapper applies --config, creates --out-dir, drops --threads, maps
     exceptions to exit codes, writes ``<name>_manifest.json`` and echoes the
     result. The body gets the other parameters plus ``out``, which maps a
     file name into the output directory and records it as an output, and
@@ -249,8 +240,7 @@ def _subcommand(name, *option_groups):
                 out_dir = params.pop("out_dir")
                 os.makedirs(out_dir, exist_ok=True)
                 recorded = {k: v for k, v in params.items() if k not in _UNRECORDED}
-                if "threads" in params:
-                    params["threads"] = _resolve_threads(params["threads"])
+                params.pop("threads", None)  # accepted, but replicates are solved in one batch
                 outputs = []
 
                 def out(filename):
@@ -376,7 +366,7 @@ def ci(out, alpha, n_size, m_size, tol, max_iter, **problem):
              click.option("--samples-out", default="bootstrap_samples.csv",
                           show_default=True),
              _config_option)
-def bootstrap(out, data, s_path, lam, lam0, n_boot, seed, threads, tol, max_iter,
+def bootstrap(out, data, s_path, lam, lam0, n_boot, seed, tol, max_iter,
               normalize, samples_out, **cost_args):
     """Naive n-out-of-n bootstrap sample of the transport distance."""
     if seed is None:
@@ -389,7 +379,7 @@ def bootstrap(out, data, s_path, lam, lam0, n_boot, seed, threads, tol, max_iter
     s = _load_prob(s_path, normalize)
     lam_value, resolved = _resolve_lambda(lam, lam0, c)
     dist = inf.bootstrap_statistic(r_hat, s, c, lam_value, B=n_boot, seed=seed,
-                                   threads=threads, tol=tol, max_iter=max_iter)
+                                   tol=tol, max_iter=max_iter)
     samples_path = out(samples_out)
     _write_csv(samples_path, dist.values[:, None])
     result = {"samples_file": samples_path, "B": n_boot, "n": dist.n,
@@ -402,7 +392,7 @@ def bootstrap(out, data, s_path, lam, lam0, n_boot, seed, threads, tol, max_iter
                           type=click.Path(exists=True, dir_okay=False),
                           required=True, help="JSON MCConfig."),
              _seed_options)
-def mc(out, config_path, seed, threads):
+def mc(out, config_path, seed):
     """Monte Carlo sweep of the limit-law approximation quality."""
     raw = _read_config(config_path)
     if seed is not None:
@@ -410,7 +400,7 @@ def mc(out, config_path, seed, threads):
     if raw.get("seed") is None:
         raise click.UsageError("a seed is required (config key 'seed' or --seed)")
     config = inf.MCConfig.from_dict(raw)
-    report = inf.mc_experiment(config, threads=threads)
+    report = inf.mc_experiment(config)
     cells = []
     for cell in report.cells:
         path = out(f"mc_samples_l{cell.lambda0:g}_n{cell.n}.csv")
@@ -444,7 +434,7 @@ def mc(out, config_path, seed, threads):
              click.option("--curve-out", default="rcol_curve.csv", show_default=True),
              _config_option)
 def rcol(out, img_a, img_b, pixel_size, n_resample, lam, lam0, p, metric, alpha, band,
-         n_boot, n_draws, seed, threads, tol, max_iter, curve_out):
+         n_boot, n_draws, seed, tol, max_iter, curve_out):
     """Colocalization curve between two images with a uniform confidence band."""
     if seed is None:
         raise click.UsageError("--seed is required for rcol runs")
@@ -459,7 +449,7 @@ def rcol(out, img_a, img_b, pixel_size, n_resample, lam, lam0, p, metric, alpha,
     analysis = coloc.rcol_pipeline(image_a, image_b, n=n_resample, seed=seed,
                                    lam=lam, lam0=lam0, p=p, metric=metric,
                                    band=band, B=n_boot, draws=n_draws, alpha=alpha,
-                                   tol=tol, max_iter=max_iter, threads=threads)
+                                   tol=tol, max_iter=max_iter)
     curve = analysis.curve
     if curve.lower is None:
         table = np.column_stack([curve.thresholds, curve.values])

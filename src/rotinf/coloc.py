@@ -304,7 +304,7 @@ class BootstrapBand:
 
 
 def _bootstrap_band_core(C_red, r_red, s_red, lam, p, B, alpha, seed, n,
-                         tol, max_iter, threads, keep_replicates,
+                         tol, max_iter, keep_replicates,
                          max_failure_rate=0.05) -> BootstrapBand:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -323,7 +323,7 @@ def _bootstrap_band_core(C_red, r_red, s_red, lam, p, B, alpha, seed, n,
     # failed replicates keep their slot as NaN rows so that index pairing
     # across settings stays aligned
     rep = _replicates(C_red, r_red, s_red, n, lam, p, (f, g), replicate_curve, int(B), seed,
-                      resample_s=True, tol=tol, max_iter=max_iter, threads=threads,
+                      resample_s=True, tol=tol, max_iter=max_iter,
                       max_failure_rate=max_failure_rate)
     valid = ~np.isnan(rep[:, 0])
     failures = int(B - valid.sum())
@@ -361,7 +361,7 @@ def rcol_cb_bootstrap(r_hat: Prob, s_hat: Prob, c: CostVector, lam: float,
     C_red = c.matrix[np.ix_(rows, cols)]
     return _bootstrap_band_core(C_red, r_hat.weights[rows], s_hat.weights[cols],
                                 lam, p, B, alpha, seed, int(n), tol, max_iter,
-                                threads, keep_replicates)
+                                keep_replicates)
 
 
 def rcol_diff(curve_a: RColCurve, curve_b: RColCurve, replicates_a, replicates_b,
@@ -480,7 +480,7 @@ def rcol_pipeline(img_a: IntensityImage, img_b: IntensityImage, n: int,
 
     if band == "bootstrap":
         bb = _bootstrap_band_core(C_red, r_red, s_red, lam, p, B, alpha, band_seed,
-                                  int(n), tol, max_iter, threads, keep_replicates)
+                                  int(n), tol, max_iter, keep_replicates)
         return RColAnalysis(curve=bb.curve, lam=lam, n=int(n), band=band,
                             failures=bb.failures, u_quantile=bb.u_quantile,
                             support_sizes=(rows.size, cols.size),

@@ -1,8 +1,9 @@
 """Monte Carlo and bootstrap inference for regularized transport statistics.
 
 Every stochastic routine here is a pure function of its inputs and an integer
-seed; replicate k draws from a stream derived from (seed, k), so serial and
-threaded execution produce bit-identical results.
+seed; replicate k draws from a stream derived from (seed, k), and the draws of
+a resampling loop are solved together in one batch. The ``threads`` arguments
+are accepted for compatibility and change neither results nor speed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from scipy import stats
 
 from . import sensitivity as sens
 from . import solver as sv
-from ._util import child_seed, rng_for, run_indexed
+from ._util import child_seed, rng_for
 from .exceptions import ConvergenceError, NumericalError
 from .space import CostVector, Prob, build_grid_space, cost_from_metric, cost_quantile
 
@@ -76,40 +77,41 @@ def _divergence_statistic(w0: float, rate: float, mode: str | None = None,
 
 
 def _replicates(C, r, s, n, lam, p, warm, statistic, count, seed, *, resample_s=False,
-                tol, max_iter, threads, max_failure_rate=0.0) -> np.ndarray:
+                tol, max_iter, max_failure_rate=0.0) -> np.ndarray:
     """Values of ``statistic`` at ``count`` resampled solutions, NaN where one failed.
 
     Replicate k draws r* = Mult(n, r) / n and, with ``resample_s``, then
-    s* = Mult(n, s) / n from the stream (seed, k); otherwise s* = s. It solves
-    the problem between them on the reduced support from the warm start and
-    evaluates ``statistic`` on the solution. A ``ConvergenceError`` or
-    ``NumericalError`` from either step fails the replicate. Once failures
-    exceed ``max_failure_rate * count``, the first failed replicate's
-    exception type is raised with the failure count, its index and its reason.
+    s* = Mult(n, s) / n from the stream (seed, k); otherwise s* = s. Every
+    replicate is drawn first; then ``solver.solve_replicates`` solves them
+    all together from the warm start on their reduced supports, and
+    ``statistic`` is evaluated on each solution in turn. A
+    ``ConvergenceError`` or ``NumericalError`` from either step fails the
+    replicate. Once failures exceed ``max_failure_rate * count``, the first
+    failed replicate's exception type is raised with the failure count, its
+    index and its reason.
     """
-    errors = {}
-
-    def one(k):
+    count = int(count)
+    R = np.empty((count, len(r)))
+    S = np.empty((count, len(s)))
+    for k in range(count):
         rng = rng_for(seed, k)
-        rstar = rng.multinomial(n, r) / n
-        sstar = rng.multinomial(n, s) / n if resample_s else s
+        R[k] = rng.multinomial(n, r) / n
+        S[k] = rng.multinomial(n, s) / n if resample_s else s
+    results = []
+    for sol in sv.solve_replicates(C, R, S, lam, p, warm, tol=tol, max_iter=max_iter):
         try:
-            sol = sv.solve_reduced(C, rstar, sstar, lam, p=p, tol=tol, max_iter=max_iter,
-                                   init=warm)
-            return statistic(sol)
+            results.append(sol if isinstance(sol, Exception) else statistic(sol))
         except (ConvergenceError, NumericalError) as err:
-            errors[k] = err
-            return None
-
-    results = run_indexed(one, int(count), threads)
+            results.append(err)
+    errors = {k: x for k, x in enumerate(results) if isinstance(x, Exception)}
     if len(errors) > max_failure_rate * count:
         k = min(errors)
         raise type(errors[k])(f"{len(errors)} of {count} replicates failed; the first, "
                               f"replicate {k}: {errors[k]}") from errors[k]
-    shape = next((np.shape(x) for x in results if x is not None), ())
-    values = np.full((len(results),) + shape, np.nan)
+    shape = next((np.shape(x) for x in results if not isinstance(x, Exception)), ())
+    values = np.full((count,) + shape, np.nan)
     for k, x in enumerate(results):
-        if x is not None:
+        if k not in errors:
             values[k] = x
     return values
 
@@ -133,7 +135,7 @@ def sinkhorn_statistic(r: Prob, s: Prob, c: CostVector, lam: float, n: int,
     statistic = _divergence_statistic(base.divergence(), np.sqrt(n),
                                       "one_sample" if studentize else None)
     vals = _replicates(c.matrix, r.weights, s.weights, n, lam, p, base.potentials, statistic,
-                       replicates, seed, tol=tol, max_iter=max_iter, threads=threads)
+                       replicates, seed, tol=tol, max_iter=max_iter)
     return SampleDistribution(values=vals, kind="mc", n=int(n), seed=int(seed))
 
 
@@ -158,7 +160,7 @@ def bootstrap_statistic(r_hat: Prob, s: Prob, c: CostVector, lam: float, B: int,
                             max_iter=max_iter)
     statistic = _divergence_statistic(base.divergence(), np.sqrt(n))
     vals = _replicates(c.matrix, r_hat.weights, s.weights, n, lam, p, base.potentials,
-                       statistic, B, seed, tol=tol, max_iter=max_iter, threads=threads)
+                       statistic, B, seed, tol=tol, max_iter=max_iter)
     return SampleDistribution(values=vals, kind="bootstrap", n=int(n), seed=int(seed))
 
 
@@ -318,7 +320,7 @@ def mc_experiment(config: MCConfig, threads: int = 1) -> MCReport:
                 raw_vals = _replicates(C, r.weights, s.weights, n, lam, config.p,
                                        base.potentials, statistic, config.replicates,
                                        cell_seed, resample_s=two_sample, tol=config.tol,
-                                       max_iter=config.max_iter, threads=threads,
+                                       max_iter=config.max_iter,
                                        max_failure_rate=config.max_failure_rate)
             except (ConvergenceError, NumericalError) as err:
                 raise type(err)(f"cell (lambda0={lam0}, n={n}): {err}") from err

@@ -3,7 +3,8 @@
 Two solvers compute the unique regularized plan: log-stabilized Sinkhorn
 scaling for the entropy penalty and a damped Newton iteration on the reduced
 dual system for any supported penalty. Both report the max-abs marginal
-residual as their convergence diagnostic.
+residual as their convergence diagnostic. ``solve_replicates`` runs the warm
+Sinkhorn solves of a resampling loop together over one shared kernel.
 
 The exact baseline solves the unregularized linear program on tiny instances
 and enumerates every optimal dual vertex, which feeds the non-Gaussian limit
@@ -22,7 +23,7 @@ from scipy.optimize import linprog
 from . import regularizers as rg
 from ._util import readonly_array, rng_for
 from .exceptions import ConvergenceError, NumericalError, ReductionRequiredError
-from .space import ConstraintOperator, CostVector, Prob
+from .space import SIMPLEX_ATOL, ConstraintOperator, CostVector, Prob
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
@@ -80,23 +81,32 @@ def _logsumexp(T, axis):
     return out
 
 
-def _check_problem(C, r, s, lam, tol):
-    """Validate a raw problem for the solvers and return it as float arrays."""
-    C = np.asarray(C, dtype=float)
-    r = np.asarray(r, dtype=float).ravel()
-    s = np.asarray(s, dtype=float).ravel()
+def _check_setting(C, lam, tol):
+    """Refuse a bad regularization strength, tolerance or cost before any iteration."""
     if not 0.0 < lam < np.inf:
         raise ValueError("regularization strength must be finite and positive")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     if not np.isfinite(C).all():
         raise ValueError("cost matrix must be finite")
+
+
+def _check_problem(C, r, s, lam, tol):
+    """Validate a raw problem for the solvers and return it as float arrays."""
+    C = np.asarray(C, dtype=float)
+    r = np.asarray(r, dtype=float).ravel()
+    s = np.asarray(s, dtype=float).ravel()
+    _check_setting(C, lam, tol)
     if not (np.isfinite(r).all() and np.isfinite(s).all()):
         raise ValueError("marginals must be finite")
     if (r <= 0).any() or (s <= 0).any():
         raise ReductionRequiredError("marginals must be strictly positive; reduce the support first")
     if C.ndim != 2 or C.shape != (r.size, s.size):
         raise ValueError("marginal sizes do not match the cost matrix")
+    # a mass gap d leaves every plan's max residual at d / (n1 + n2) or more
+    gap = abs(r.sum() - s.sum())
+    if gap > max(tol, 2 * SIMPLEX_ATOL):
+        raise ValueError(f"marginals must have equal mass (they differ by {gap:.3e})")
     return C, r, s
 
 
@@ -232,10 +242,14 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
 
     P, f, g, it, res, ok = _sinkhorn_core(C, r, s, lam, tol, max_iter, f=f0, g=g0)
     if not ok:
-        raise ConvergenceError(
-            f"Sinkhorn did not reach tolerance {tol:g} within {max_iter} iterations "
-            f"(residual {res:.3e})", residual=res, iterations=it + ladder_iters)
+        raise _sinkhorn_failure(tol, max_iter, res, it + ladder_iters)
     return P, f, g, it + ladder_iters, res
+
+
+def _sinkhorn_failure(tol, max_iter, res, it):
+    return ConvergenceError(
+        f"Sinkhorn did not reach tolerance {tol:g} within {max_iter} iterations "
+        f"(residual {res:.3e})", residual=res, iterations=it)
 
 
 def sinkhorn_entropy(c: CostVector, r: Prob, s: Prob, lam: float,
@@ -440,6 +454,38 @@ class ReducedSolution:
         return divergence_matrix(self.cost, self.plan.matrix, self.plan.p)
 
 
+def _check_weights(C, rw, sw):
+    """Validate marginal weights, vectors or stacks of rows, against the cost."""
+    if (rw.shape[-1], sw.shape[-1]) != C.shape:
+        raise ValueError(f"marginal sizes {rw.shape[-1]} and {sw.shape[-1]} do not match "
+                         f"the {C.shape[0]} x {C.shape[1]} cost matrix")
+    if not all(np.isfinite(w).all() and (w >= 0).all() for w in (rw, sw)):
+        raise ValueError("marginal weights must be finite and nonnegative")
+
+
+def _support(rw, sw):
+    """(rows, cols, r, s): the support of two weight vectors and its normalized weights."""
+    rows = np.flatnonzero(rw > 0)
+    cols = np.flatnonzero(sw > 0)
+    return (rows, cols, Prob.from_weights(rw[rows], normalize=True),
+            Prob.from_weights(sw[cols], normalize=True))
+
+
+def _solution(C_red, support, full_shape, P, it, res, lam, p, reg, f=None, g=None):
+    """ReducedSolution of plan P on ``support``, with potentials (f, g) re-embedded."""
+    rows, cols, r_red, s_red = support
+    plan = TransportPlan(entries=P.ravel(), r=r_red, s=s_red, lam=float(lam),
+                         reg=reg, p=float(p), iterations=it, residual=res)
+    potentials = None
+    if f is not None:
+        potentials = (np.zeros(full_shape[0]), np.zeros(full_shape[1]))
+        potentials[0][rows] = f
+        potentials[1][cols] = g
+    return ReducedSolution(plan=plan, cost=C_red, row_support=rows, col_support=cols,
+                           n_rows_full=full_shape[0], n_cols_full=full_shape[1],
+                           potentials=potentials)
+
+
 def solve_reduced(cost, r_weights, s_weights, lam, reg: rg.Regularizer | None = None,
                   p: float | None = None, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, init=None) -> ReducedSolution:
@@ -459,39 +505,158 @@ def solve_reduced(cost, r_weights, s_weights, lam, reg: rg.Regularizer | None = 
             raise ValueError("p must be given with a raw cost matrix")
     rw = np.asarray(r_weights, dtype=float).ravel()
     sw = np.asarray(s_weights, dtype=float).ravel()
-    if (rw.size, sw.size) != C.shape:
-        raise ValueError(f"marginal sizes {rw.size} and {sw.size} do not match "
-                         f"the {C.shape[0]} x {C.shape[1]} cost matrix")
-    if not all(np.isfinite(w).all() and (w >= 0).all() for w in (rw, sw)):
-        raise ValueError("marginal weights must be finite and nonnegative")
-    rows = np.flatnonzero(rw > 0)
-    cols = np.flatnonzero(sw > 0)
+    _check_weights(C, rw, sw)
+    support = rows, cols, r_red, s_red = _support(rw, sw)
     C_red = C[np.ix_(rows, cols)]
-    r_red = Prob.from_weights(rw[rows], normalize=True)
-    s_red = Prob.from_weights(sw[cols], normalize=True)
     if init is not None:
         f0, g0 = init
         init = (np.asarray(f0)[rows], np.asarray(g0)[cols])
-    potentials = None
     if reg is None or reg.kind == "entropy":
         P, f, g, it, res = sinkhorn_matrix(C_red, r_red.weights, s_red.weights, lam,
                                            tol=tol, max_iter=max_iter, init=init)
-        used = rg.entropy()
-        f_full = np.zeros(rw.size)
-        g_full = np.zeros(sw.size)
-        f_full[rows] = f
-        g_full[cols] = g
-        potentials = (f_full, g_full)
-    else:
-        P_flat, _, it, res = newton_matrix(reg, C_red, r_red.weights, s_red.weights,
-                                           lam, tol=tol, max_iter=min(max_iter, 500))
-        P = P_flat.reshape(rows.size, cols.size)
-        used = reg
-    plan = TransportPlan(entries=P.ravel(), r=r_red, s=s_red, lam=float(lam),
-                         reg=used, p=float(p), iterations=it, residual=res)
-    return ReducedSolution(plan=plan, cost=C_red, row_support=rows, col_support=cols,
-                           n_rows_full=rw.size, n_cols_full=sw.size,
-                           potentials=potentials)
+        return _solution(C_red, support, C.shape, P, it, res, lam, p, rg.entropy(), f, g)
+    P, _, it, res = newton_matrix(reg, C_red, r_red.weights, s_red.weights,
+                                  lam, tol=tol, max_iter=min(max_iter, 500))
+    return _solution(C_red, support, C.shape, P, it, res, lam, p, reg)
+
+
+_DONE, _HANDOFF, _FAILED = 0, 1, 2
+
+
+def _sinkhorn_batch(K, R, S, tol, max_iter):
+    """Plain Sinkhorn scaling of many marginal pairs, the rows of R and S, over one kernel.
+
+    Every row starts at u, v = 1 on its support and 0 off it, and all rows
+    advance together, so a row's iteration count is the loop's. A row leaves
+    with status _DONE at the iteration where max|u K v - r| reaches tol and
+    _FAILED once max_iter is spent. It leaves with _HANDOFF, for
+    ``_sinkhorn_core`` to absorb and finish, when its scalings leave the
+    absorption window (the state after the update) or cannot be formed (the
+    state before it, whose round the core redoes), and when it is the last
+    row running. Returns the final (U, V), iteration counts, residuals and
+    statuses; nothing larger than (B, n1 + n2) besides K.
+    """
+    U_out = (R > 0).astype(float)
+    V_out = (S > 0).astype(float)
+    iters = np.zeros(R.shape[0], dtype=int)
+    resid = np.zeros(R.shape[0])
+    status = np.full(R.shape[0], _HANDOFF)
+    lo, hi = np.exp(-_ABSORB_LOG), np.exp(_ABSORB_LOG)
+    live = np.arange(R.shape[0])
+    U, V, r_off, s_off = U_out, V_out, R <= 0, S <= 0
+
+    def leave(mask, it, code):
+        nonlocal live, U, V, KV, R, S, r_off, s_off
+        idx = live[mask]
+        U_out[idx], V_out[idx], status[idx] = U[mask], V[mask], code
+        iters[idx] = np.broadcast_to(it, mask.shape)[mask]
+        keep = ~mask
+        live, U, V, KV, R, S, r_off, s_off = (
+            x[keep] for x in (live, U, V, KV, R, S, r_off, s_off))
+
+    it = 0
+    with np.errstate(all="ignore"):  # zero or overflowing scalings hand the row off
+        while live.size > 1:
+            KV = V @ K.T
+            res = np.abs(U * KV - R).max(axis=1)
+            resid[live] = res
+            if (res <= tol).any():
+                leave(res <= tol, it, _DONE)
+            if it >= max_iter:
+                leave(np.ones(live.size, dtype=bool), it, _FAILED)
+            if live.size <= 1:
+                break
+            it += 1
+            U_old, V_old = U, V
+            U = np.divide(R, KV, out=np.zeros_like(R), where=~r_off)
+            V = np.divide(S, U @ K, out=np.zeros_like(S), where=~s_off)
+            out = ~((((U >= lo) & (U <= hi)) | r_off).all(axis=1)
+                    & (((V >= lo) & (V <= hi)) | s_off).all(axis=1))
+            if out.any():
+                formed = ((np.isfinite(U) & ((U > 0) | r_off)).all(axis=1)
+                          & (np.isfinite(V) & ((V > 0) | s_off)).all(axis=1))
+                redo = out & ~formed
+                U[redo], V[redo] = U_old[redo], V_old[redo]
+                leave(out, it - redo, _HANDOFF)
+        U_out[live], V_out[live], iters[live] = U, V, it
+    return U_out, V_out, iters, resid, status
+
+
+def solve_replicates(C, R, S, lam, p, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """Warm entropy solves of many marginal pairs on one cost, run as one batch.
+
+    Row k of ``R`` (B, n1) and ``S`` (B, n2) holds replicate k's nonnegative
+    weights, and ``init`` = (f0, g0) are the warm potentials of a solution
+    whose support holds every replicate's. Yields, in replicate order, what
+    ``solve_reduced(C, R[k], S[k], lam, p=p, tol=tol, max_iter=max_iter,
+    init=init)`` returns, with the same iteration count and equal up to
+    rounding, or the ConvergenceError or NumericalError it raises.
+
+    One kernel exp((f0 + g0 - C) / lam) on the union of the supports serves
+    every replicate (see ``_sinkhorn_batch``). Replicates that leave the batch
+    early or last finish in ``sinkhorn_matrix`` from their absorbed potentials
+    with the rest of their ``max_iter``, and a replicate with a single atom on
+    either side goes through ``solve_reduced``. Plans are built one at a time,
+    as they are yielded.
+    """
+    C = np.asarray(C, dtype=float)
+    R = np.asarray(R, dtype=float)
+    S = np.asarray(S, dtype=float)
+    _check_setting(C, lam, tol)
+    _check_weights(C, R, S)
+    f0, g0 = (np.asarray(x, dtype=float) for x in init)
+    supports = [_support(rw, sw) for rw, sw in zip(R, S)]
+    batch = [k for k, (rows, cols, _, _) in enumerate(supports)
+             if min(rows.size, cols.size) > 1]
+    ru = np.flatnonzero((R[batch] > 0).any(axis=0))
+    cu = np.flatnonzero((S[batch] > 0).any(axis=0))
+    rloc = np.zeros(C.shape[0], dtype=int)
+    cloc = np.zeros(C.shape[1], dtype=int)
+    rloc[ru] = np.arange(ru.size)
+    cloc[cu] = np.arange(cu.size)
+    Rb = np.zeros((len(batch), ru.size))
+    Sb = np.zeros((len(batch), cu.size))
+    for i, k in enumerate(batch):
+        rows, cols, r_red, s_red = supports[k]
+        Rb[i, rloc[rows]] = r_red.weights
+        Sb[i, cloc[cols]] = s_red.weights
+    K = np.exp((f0[ru][:, None] + g0[cu][None, :] - C[np.ix_(ru, cu)]) / lam)
+    U, V, iters, resid, status = _sinkhorn_batch(K, Rb, Sb, tol, max_iter)
+
+    def finish(i, support):
+        rows, cols, r_red, s_red = support
+        used = int(iters[i])
+        if status[i] == _FAILED:
+            raise _sinkhorn_failure(tol, max_iter, float(resid[i]), used)
+        C_red = C[np.ix_(rows, cols)]
+        u, v = U[i, rloc[rows]], V[i, cloc[cols]]
+        f = f0[rows] + lam * np.log(u)
+        g = g0[cols] + lam * np.log(v)
+        if status[i] == _DONE:
+            P = (u[:, None] * K[np.ix_(rloc[rows], cloc[cols])]) * v[None, :]
+            it, res = used, float(resid[i])
+        else:
+            try:
+                P, f, g, it, res = sinkhorn_matrix(C_red, r_red.weights, s_red.weights, lam,
+                                                   tol=tol, max_iter=max_iter - used,
+                                                   init=(f, g))
+            except ConvergenceError as err:
+                raise _sinkhorn_failure(tol, max_iter, err.residual,
+                                        err.iterations + used) from None
+            it += used
+        return _solution(C_red, support, C.shape, P, it, res, lam, p, rg.entropy(), f, g)
+
+    slot = dict(zip(batch, range(len(batch))))
+    for k, support in enumerate(supports):
+        try:
+            if k in slot:
+                sol = finish(slot[k], support)
+            else:
+                sol = solve_reduced(C, R[k], S[k], lam, p=p, tol=tol, max_iter=max_iter,
+                                    init=init)
+        except (ConvergenceError, NumericalError) as err:
+            sol = err
+        yield sol
 
 
 # ---------------------------------------------------------------------------

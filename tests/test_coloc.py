@@ -203,10 +203,10 @@ def test_bootstrap_band_reports_failure_counts(monkeypatch):
     import rotinf.coloc as coloc_mod
     from rotinf import ConvergenceError
 
-    def always_fails(*args, **kwargs):
-        raise ConvergenceError("synthetic replicate failure")
+    def always_fails(C, R, S, *args, **kwargs):
+        return [ConvergenceError("synthetic replicate failure") for _ in R]
 
-    monkeypatch.setattr(coloc_mod.sv, "solve_reduced", always_fails)
+    monkeypatch.setattr(coloc_mod.sv, "solve_replicates", always_fails)
     rng = np.random.default_rng(11)
     c, r, s = random_instance(rng, 3)
     r_hat = resample_distribution(r, 100, seed=1)

@@ -101,16 +101,13 @@ def test_bootstrap_centering_rate():
 def test_mc_experiment_aggregates_replicate_failures(monkeypatch):
     import rotinf.inference as inf_mod
 
-    real = inf_mod.sv.solve_reduced
-    calls = {"count": 0}
+    real = inf_mod.sv.solve_replicates
 
     def flaky(*args, **kwargs):
-        calls["count"] += 1
-        if calls["count"] > 1 and calls["count"] % 3 == 0:  # spare the base solve
-            raise ConvergenceError("synthetic replicate failure")
-        return real(*args, **kwargs)
+        for k, sol in enumerate(real(*args, **kwargs)):
+            yield ConvergenceError("synthetic replicate failure") if k % 3 == 1 else sol
 
-    monkeypatch.setattr(inf_mod.sv, "solve_reduced", flaky)
+    monkeypatch.setattr(inf_mod.sv, "solve_replicates", flaky)
     cfg = MCConfig(L=2, lambda0=(2.0,), n=(15,), replicates=30, seed=17)
     with pytest.raises(ConvergenceError, match="replicates failed"):
         mc_experiment(cfg, threads=1)
@@ -231,26 +228,21 @@ def test_interval_and_bootstrap_refuse_degenerate_sizes(two_point_cost):
 
 @pytest.fixture
 def fail_replicates(monkeypatch):
-    """Make the warm-started solves of the given replicate indices raise.
+    """Make the solves of the given replicate indices fail.
 
-    Replicates are solved from the base solution's potentials; run serially,
-    the k-th warm-started solve is replicate k.
+    The batched solver yields replicate k's solution k-th; the wrapper puts
+    a NumericalError in its place.
     """
     import rotinf.solver as sv_mod
 
-    real = sv_mod.solve_reduced
+    real = sv_mod.solve_replicates
 
     def install(indices):
-        warm_calls = []
-
         def flaky(*args, **kwargs):
-            if kwargs.get("init") is not None:
-                warm_calls.append(None)
-                if len(warm_calls) - 1 in indices:
-                    raise NumericalError("synthetic replicate failure")
-            return real(*args, **kwargs)
+            for k, sol in enumerate(real(*args, **kwargs)):
+                yield NumericalError("synthetic replicate failure") if k in indices else sol
 
-        monkeypatch.setattr(sv_mod, "solve_reduced", flaky)
+        monkeypatch.setattr(sv_mod, "solve_replicates", flaky)
     return install
 
 

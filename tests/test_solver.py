@@ -341,6 +341,21 @@ def test_solvers_refuse_nonfinite_marginals_at_once(bad, solve):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("solve", [
+    lambda C, r, s: sinkhorn_matrix(C, r, s, 1.0),
+    lambda C, r, s: newton_matrix(rg.entropy(), C, r, s, 1.0),
+], ids=["sinkhorn", "newton"])
+def test_solvers_refuse_unequal_mass_at_once(solve):
+    # Newton used to return a plan whose dropped last column summed to 0.4;
+    # Sinkhorn ran all its iterations before raising ConvergenceError
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    start = time.perf_counter()
+    for r, s in (([0.5, 0.4], [0.5, 0.5]), ([0.5, 0.5], [0.5, 0.4])):
+        with pytest.raises(ValueError, match="equal mass"):
+            solve(C, r, s)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.5], [-0.2, 0.6, 0.6]],
                          ids=["nan", "negative"])
 def test_solve_reduced_refuses_bad_weights(weights):
