@@ -342,7 +342,7 @@ def rcol_cb_bootstrap(r_hat: Prob, s_hat: Prob, c: CostVector, lam: float,
                       B: int = 100, alpha: float = 0.05, seed: int = 0,
                       p: float | None = None, n: int | None = None,
                       tol: float = sv.DEFAULT_TOL, max_iter: int = sv.DEFAULT_MAX_ITER,
-                      threads: int = 1, keep_replicates: bool = False) -> BootstrapBand:
+                      keep_replicates: bool = False) -> BootstrapBand:
     """Bootstrap uniform confidence band for the two-sample curve.
 
     Both empirical marginals are resampled with their common denominator n;
@@ -444,7 +444,7 @@ def rcol_pipeline(img_a: IntensityImage, img_b: IntensityImage, n: int,
                   band: str = "bootstrap", B: int = 100,
                   draws: int = DEFAULT_BAND_DRAWS, alpha: float = 0.05,
                   tol: float = sv.DEFAULT_TOL, max_iter: int = sv.DEFAULT_MAX_ITER,
-                  threads: int = 1, keep_replicates: bool = False) -> RColAnalysis:
+                  keep_replicates: bool = False) -> RColAnalysis:
     """Resample two intensity images and compute the banded curve between them.
 
     Cost blocks are only ever built on the resampled supports, so the full

@@ -2,8 +2,7 @@
 
 Every stochastic routine here is a pure function of its inputs and an integer
 seed; replicate k draws from a stream derived from (seed, k), and the draws of
-a resampling loop are solved together in one batch. The ``threads`` arguments
-are accepted for compatibility and change neither results nor speed.
+a resampling loop are solved together in one batch.
 """
 
 from __future__ import annotations
@@ -86,9 +85,9 @@ def _replicates(C, r, s, n, lam, p, warm, statistic, count, seed, *, resample_s=
     all together from the warm start on their reduced supports, and
     ``statistic`` is evaluated on each solution in turn. A
     ``ConvergenceError`` or ``NumericalError`` from either step fails the
-    replicate. Once failures exceed ``max_failure_rate * count``, the first
-    failed replicate's exception type is raised with the failure count, its
-    index and its reason.
+    replicate. Once failures exceed ``max_failure_rate * count``, or when
+    every replicate fails, the first failed replicate's exception type is
+    raised with the failure count, its index and its reason.
     """
     count = int(count)
     R = np.empty((count, len(r)))
@@ -104,11 +103,11 @@ def _replicates(C, r, s, n, lam, p, warm, statistic, count, seed, *, resample_s=
         except (ConvergenceError, NumericalError) as err:
             results.append(err)
     errors = {k: x for k, x in enumerate(results) if isinstance(x, Exception)}
-    if len(errors) > max_failure_rate * count:
+    if errors and (len(errors) == count or len(errors) > max_failure_rate * count):
         k = min(errors)
         raise type(errors[k])(f"{len(errors)} of {count} replicates failed; the first, "
                               f"replicate {k}: {errors[k]}") from errors[k]
-    shape = next((np.shape(x) for x in results if not isinstance(x, Exception)), ())
+    shape = np.shape(next(x for x in results if not isinstance(x, Exception)))
     values = np.full((count,) + shape, np.nan)
     for k, x in enumerate(results):
         if k not in errors:
@@ -118,8 +117,7 @@ def _replicates(C, r, s, n, lam, p, warm, statistic, count, seed, *, resample_s=
 
 def sinkhorn_statistic(r: Prob, s: Prob, c: CostVector, lam: float, n: int,
                        replicates: int, seed: int, p: float | None = None,
-                       studentize: bool = True, threads: int = 1,
-                       tol: float = sv.DEFAULT_TOL,
+                       studentize: bool = True, tol: float = sv.DEFAULT_TOL,
                        max_iter: int = sv.DEFAULT_MAX_ITER) -> SampleDistribution:
     """Monte Carlo sample of the centered empirical transport distance.
 
@@ -141,7 +139,7 @@ def sinkhorn_statistic(r: Prob, s: Prob, c: CostVector, lam: float, n: int,
 
 def bootstrap_statistic(r_hat: Prob, s: Prob, c: CostVector, lam: float, B: int,
                         seed: int, n: int | None = None, p: float | None = None,
-                        threads: int = 1, tol: float = sv.DEFAULT_TOL,
+                        tol: float = sv.DEFAULT_TOL,
                         max_iter: int = sv.DEFAULT_MAX_ITER) -> SampleDistribution:
     """Naive n-out-of-n bootstrap sample of the transport distance.
 
@@ -235,6 +233,8 @@ class MCConfig:
             raise ValueError(f"mode must be one of {MC_MODES}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if not 0.0 <= self.max_failure_rate <= 1.0:  # also refuses NaN
+            raise ValueError("max_failure_rate must lie in [0, 1]")
         if any(l0 <= 0 for l0 in self.lambda0):
             raise ValueError("lambda0 values must be positive")
         if self.compare_ot_limit and (self.studentize or self.p != 1.0):
@@ -276,7 +276,7 @@ class MCReport:
     cells: tuple[MCCell, ...]
 
 
-def mc_experiment(config: MCConfig, threads: int = 1) -> MCReport:
+def mc_experiment(config: MCConfig) -> MCReport:
     """Run the Monte Carlo sweep described by the configuration.
 
     One fixed population pair (r, s) is drawn from the seed, then every

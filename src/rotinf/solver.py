@@ -7,8 +7,9 @@ residual as their convergence diagnostic. ``solve_replicates`` runs the warm
 Sinkhorn solves of a resampling loop together over one shared kernel.
 
 The exact baseline solves the unregularized linear program on tiny instances
-and enumerates every optimal dual vertex, which feeds the non-Gaussian limit
-sampler used to benchmark the small-regularization regime.
+with the dual simplex and reads every optimal dual vertex off the basic plan
+it returns; they feed the non-Gaussian limit sampler used to benchmark the
+small-regularization regime.
 """
 
 from __future__ import annotations
@@ -187,9 +188,11 @@ def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None):
     return P, f, g, it, res, converged
 
 
-def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                    init=None, eps_scaling=None):
+def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, init=None):
     """Entropy-regularized plan on raw arrays.
+
+    A cold start at small lam (below span(C) / 25) first solves a ladder of
+    decreasing regularization strengths and starts from its potentials.
 
     Parameters
     ----------
@@ -201,9 +204,6 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         Regularization strength, > 0.
     init : (f0, g0) pair, optional
         Warm-start potentials.
-    eps_scaling : bool, optional
-        Solve a ladder of decreasing regularization strengths before the
-        target one. Defaults to on for cold starts at small lam.
 
     Returns
     -------
@@ -228,11 +228,8 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     if init is not None:
         f0, g0 = init
     span = float(C.max() - C.min())
-    if eps_scaling is None:
-        eps_scaling = init is None and span > 0 and lam < span / 25.0
-
     ladder_iters = 0
-    if eps_scaling:
+    if init is None and lam < span / 25.0:
         hot = span / 4.0
         while hot > lam * 4.0:
             _, f0, g0, it, _, _ = _sinkhorn_core(
@@ -254,7 +251,7 @@ def _sinkhorn_failure(tol, max_iter, res, it):
 
 def sinkhorn_entropy(c: CostVector, r: Prob, s: Prob, lam: float,
                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                     init=None, eps_scaling=None) -> TransportPlan:
+                     init=None) -> TransportPlan:
     """Entropy-regularized transport plan between r and s.
 
     Raises ``ReductionRequiredError`` when a marginal has zero entries and
@@ -262,8 +259,7 @@ def sinkhorn_entropy(c: CostVector, r: Prob, s: Prob, lam: float,
     within ``max_iter`` iterations.
     """
     P, _, _, it, res = sinkhorn_matrix(c.matrix, r.weights, s.weights, lam,
-                                       tol=tol, max_iter=max_iter, init=init,
-                                       eps_scaling=eps_scaling)
+                                       tol=tol, max_iter=max_iter, init=init)
     return TransportPlan(entries=P.ravel(), r=r, s=s, lam=float(lam),
                          reg=rg.entropy(), p=c.p, iterations=it, residual=res)
 
@@ -691,98 +687,14 @@ class _DisjointSet:
         return True
 
 
-def _find_support_cycle(P):
-    """Node sequence of one cycle in the bipartite support graph, or None."""
-    n1, n2 = P.shape
-    dsu = _DisjointSet(n1 + n2)
-    adj: dict[int, list[int]] = {}
-    for i in range(n1):
-        for j in range(n2):
-            if P[i, j] <= 0:
-                continue
-            a, b = i, n1 + j
-            if dsu.union(a, b):
-                adj.setdefault(a, []).append(b)
-                adj.setdefault(b, []).append(a)
-            else:
-                # (a, b) closes a cycle; recover the forest path a -> b
-                prev = {a: None}
-                queue = [a]
-                while queue:
-                    node = queue.pop(0)
-                    if node == b:
-                        break
-                    for nxt in adj.get(node, ()):
-                        if nxt not in prev:
-                            prev[nxt] = node
-                            queue.append(nxt)
-                path = [b]
-                while path[-1] != a:
-                    path.append(prev[path[-1]])
-                return path  # b ... a; closing edge (a, b) completes the cycle
-    return None
-
-
-def _cancel_cycles(P, tol):
-    """Push mass around support cycles until the support graph is a forest.
-
-    At an optimum every support cycle has zero cost, so the objective is
-    unchanged; the push zeroes at least one entry per round.
-    """
-    P = P.copy()
-    P[P < tol] = 0.0
-    n1 = P.shape[0]
-    while True:
-        nodes = _find_support_cycle(P)
-        if nodes is None:
-            return P
-        edges = []
-        for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-            i, j = (a, b - n1) if a < n1 else (b, a - n1)
-            edges.append((i, j))
-        signs = np.array([1 if t % 2 == 0 else -1 for t in range(len(edges))])
-        masses = np.array([P[i, j] for (i, j) in edges])
-        theta = masses[signs < 0].min()
-        for sg, (i, j) in zip(signs, edges):
-            P[i, j] += sg * theta
-        P[P < tol] = 0.0
-
-
-def _tree_potentials(edges, C, n1, n2):
-    """Solve u_i + v_j = C[i, j] on a spanning tree, pinning the last column to 0."""
-    u = np.full(n1, np.nan)
-    v = np.full(n2, np.nan)
-    adj = {}
-    for (i, j) in edges:
-        adj.setdefault(("r", i), []).append(("c", j))
-        adj.setdefault(("c", j), []).append(("r", i))
-    v[n2 - 1] = 0.0
-    stack = [("c", n2 - 1)]
-    visited = {("c", n2 - 1)}
-    while stack:
-        kind, idx = stack.pop()
-        for nxt in adj.get((kind, idx), ()):
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            nk, ni = nxt
-            if nk == "r":
-                u[ni] = C[ni, idx] - v[idx]
-            else:
-                v[ni] = C[idx, ni] - u[idx]
-            stack.append(nxt)
-    if np.isnan(u).any() or np.isnan(v).any():
-        return None
-    return u, v
-
-
 def exact_ot_baseline(c: CostVector, r: Prob, s: Prob) -> ExactBaseline:
     """Exact optimal transport value and all optimal dual basic solutions.
 
-    Only tiny instances are supported; the dual vertices are enumerated by
-    extending a spanning forest of an optimal plan's support with tight edges
-    and keeping the feasible completions. Zero-weight atoms are dropped for
-    the enumeration and their dual entries re-embedded as zeros.
+    Only tiny instances are supported. The dual simplex returns a basic
+    optimal plan, whose support is a forest; every spanning tree that extends
+    it by edges between its components gives one potential vector, and the
+    feasible ones are the optimal dual vertices. Zero-weight atoms are dropped
+    for the enumeration and their dual entries re-embedded as zeros.
     """
     N = c.n_points
     if N > _BASELINE_MAX_POINTS:
@@ -795,20 +707,21 @@ def exact_ot_baseline(c: CostVector, r: Prob, s: Prob) -> ExactBaseline:
     sv = sw[cols] / sw[cols].sum()
     n1, n2 = rows.size, cols.size
 
-    op = ConstraintOperator(n1, n2)
-    res = linprog(C.ravel(), A_eq=op.materialize_reduced(),
-                  b_eq=np.concatenate([rv, sv[:-1]]),
-                  bounds=(0, None), method="highs")
+    A = ConstraintOperator(n1, n2).materialize_reduced()
+    res = linprog(C.ravel(), A_eq=A, b_eq=np.concatenate([rv, sv[:-1]]),
+                  bounds=(0, None), method="highs-ds")
     if not res.success:
         raise NumericalError(f"exact transport LP failed: {res.message}")
     value = float(res.fun)
     scale = max(1.0, float(np.abs(C).max()))
-    P = _cancel_cycles(res.x.reshape(n1, n2), tol=1e-11 * scale)
+    P = res.x.reshape(n1, n2)
+    P[P < 1e-11 * scale] = 0.0
 
     support = [(i, j) for i in range(n1) for j in range(n2) if P[i, j] > 0]
     dsu = _DisjointSet(n1 + n2)
     for (i, j) in support:
-        dsu.union(i, n1 + j)
+        if not dsu.union(i, n1 + j):
+            raise NumericalError("exact transport LP returned a plan whose support has a cycle")
     comp = {}
     for node in range(n1 + n2):
         comp.setdefault(dsu.find(node), len(comp))
@@ -823,32 +736,24 @@ def exact_ot_baseline(c: CostVector, r: Prob, s: Prob) -> ExactBaseline:
                 key = (min(ca, cb), max(ca, cb))
                 groups.setdefault(key, []).append((i, j))
 
-    feas_tol = 1e-8 * scale
     vertices = {}
-
-    def consider(edges):
-        pots = _tree_potentials(edges, C, n1, n2)
-        if pots is None:
-            return
-        u, v = pots
-        if (u[:, None] + v[None, :] - C).max() > feas_tol:
-            return
-        u_full = np.zeros(N)
-        v_full = np.zeros(N)
-        u_full[rows] = u
-        v_full[cols] = v
-        key = tuple(np.round(np.concatenate([u_full, v_full]), 9))
-        vertices.setdefault(key, np.concatenate([u_full, v_full]))
-
-    if k == 1:
-        consider(support)
-    else:
-        abstract = sorted(groups)
-        for subset in itertools.combinations(abstract, k - 1):
-            dsu2 = _DisjointSet(k)
-            if all(dsu2.union(a, b) for (a, b) in subset):
-                for combo in itertools.product(*(groups[e] for e in subset)):
-                    consider(support + list(combo))
+    # a tree over the k components (none when k = 1) picks the groups; each
+    # choice of one edge per picked group completes the forest to a spanning tree
+    for subset in itertools.combinations(sorted(groups), k - 1):
+        dsu2 = _DisjointSet(k)
+        if not all(dsu2.union(a, b) for (a, b) in subset):
+            continue
+        edges = np.array([[i * n2 + j for (i, j) in support + list(combo)]
+                          for combo in itertools.product(*(groups[e] for e in subset))])
+        # u_i + v_j = C[i, j] on each tree's edges; A's rows pin v[-1] = 0
+        uv = np.linalg.solve(A.T[edges], C.ravel()[edges][..., None])[..., 0]
+        U, V = uv[:, :n1], np.hstack([uv[:, n1:], np.zeros((len(edges), 1))])
+        feasible = (U[:, :, None] + V[:, None, :] - C).max(axis=(1, 2)) <= 1e-8 * scale
+        full = np.zeros((len(edges), 2 * N))
+        full[:, rows] = U
+        full[:, N + cols] = V
+        for vertex in full[feasible]:
+            vertices.setdefault(tuple(np.round(vertex, 9)), vertex)
     if not vertices:
         raise NumericalError("no feasible dual vertex found")
     return ExactBaseline(value=value,

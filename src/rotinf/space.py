@@ -169,13 +169,6 @@ class Prob:
         """Indices of strictly positive weights."""
         return np.flatnonzero(self.weights > 0)
 
-    def restrict_support(self) -> tuple["Prob", np.ndarray]:
-        """Drop zero-weight atoms; returns the reduced vector and kept indices."""
-        idx = self.support()
-        if idx.size == self.dim:
-            return self, idx
-        return Prob.from_weights(self.weights[idx], normalize=True, n=self.n), idx
-
 
 def empirical_distribution(sample, n_points: int) -> Prob:
     """Empirical distribution of a sample of 0-based point indices."""
@@ -196,7 +189,7 @@ class ConstraintOperator:
     The reduced operator drops the last column-sum constraint, which is
     redundant on the simplex and makes the remaining rows linearly
     independent. The operator acts implicitly; ``materialize*`` builds the
-    dense matrix for testing only.
+    dense matrix for tests and for the exact baseline's tiny linear program.
     """
 
     n_rows: int

@@ -7,7 +7,6 @@ across reruns and thread counts.
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -28,8 +27,6 @@ from rotinf.solver import _reduced_gram, sinkhorn_matrix, solve_reduced
 from rotinf.space import ConstraintOperator
 
 from conftest import blob_image, random_instance
-
-THREADS = min(4, os.cpu_count() or 1)
 
 
 def report(num, name, ok, detail):
@@ -116,7 +113,7 @@ def test_criterion_04_variance_validation():
     gamma = sens.divergence_gradient(base.cost.ravel(), base.plan, p=1.0)
     sigma2 = action.quad_form(gamma)
     dist = sinkhorn_statistic(r, s, c, lam, n=1000, replicates=20_000, seed=3,
-                              studentize=False, threads=THREADS)
+                              studentize=False)
     rel = abs(dist.values.var(ddof=1) / sigma2 - 1.0)
     elapsed = time.perf_counter() - t0
     ok = rel < 0.05 and elapsed < 300.0
@@ -127,7 +124,7 @@ def test_criterion_04_variance_validation():
 
 def test_criterion_05_limit_law_normality():
     cfg = MCConfig(L=4, lambda0=(2.0, 0.6, 0.2), n=(25,), replicates=20_000, seed=1)
-    rep = mc_experiment(cfg, threads=THREADS)
+    rep = mc_experiment(cfg)
     ks = {cell.lambda0: cell.ks_normal for cell in rep.cells}
     ok = ks[2.0] < 0.05 and ks[2.0] < ks[0.6] < ks[0.2]
     report(5, "limit-law normality and lambda trend", ok,
@@ -140,7 +137,7 @@ def test_criterion_06_ot_limit_comparison():
     # itself only resolves ~1e-4 differences
     cfg = MCConfig(L=2, lambda0=(0.05,), n=(25,), replicates=20_000, seed=21,
                    studentize=False, compare_ot_limit=True, tol=1e-5)
-    rep = mc_experiment(cfg, threads=THREADS)
+    rep = mc_experiment(cfg)
     cell = rep.cells[0]
     ok = cell.ks_ot_limit < cell.ks_normal
     report(6, "non-regularized limit comparison", ok,
@@ -155,10 +152,10 @@ def test_criterion_07_bootstrap_consistency():
     r = Prob.from_weights(rng.dirichlet(np.ones(4)))
     lam = 2.0 * cost_quantile(c, 0.5)
     mc = sinkhorn_statistic(r, r, c, lam, n=100, replicates=20_000, seed=5,
-                            studentize=False, threads=THREADS)
+                            studentize=False)
     draws = np.random.default_rng(77).choice(4, size=100, p=r.weights)
     r_hat = empirical_distribution(draws, 4)
-    boot = bootstrap_statistic(r_hat, r, c, lam, B=500, seed=6, threads=THREADS)
+    boot = bootstrap_statistic(r_hat, r, c, lam, B=500, seed=6)
     ks = ks_distance(boot, mc)
     report(7, "bootstrap consistency", ks < 0.1, f"KS(bootstrap, MC) = {ks:.4f}")
 
@@ -250,7 +247,7 @@ def test_criterion_09_rcol_structure_and_coverage():
             rhat = resample_distribution(r8, 2000, rng_for(100, rep_idx, 0))
             shat = resample_distribution(s8, 2000, rng_for(100, rep_idx, 1))
             band = rcol_cb_bootstrap(rhat, shat, c8, lam, B=100, alpha=0.05,
-                                     seed=rep_idx, tol=1e-7, threads=THREADS)
+                                     seed=rep_idx, tol=1e-7)
             hits += band.curve.band_covers(pop8)
         boot_cov[lam0] = hits / 100.0
 

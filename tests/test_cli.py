@@ -417,3 +417,27 @@ def test_mc_vanishing_variance_exits_numerical(runner, tmp_path):
     assert result.exit_code == 5, result.output
     assert "1 of 15 replicates failed" in result.output
     assert "vanishing variance" in result.output
+
+
+def test_mc_all_replicates_failed_exits_numerical(runner, tmp_path):
+    # n = 1 puts every replicate on a single atom, where the plug-in variance
+    # vanishes; an allowed failure rate of one must not leave an empty sample
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"L": 2, "lambda0": [2.0], "n": [1], "replicates": 10,
+                                    "seed": 3, "max_failure_rate": 1.0}))
+    result = runner.invoke(main, ["mc", "--config", str(cfg_path),
+                                  "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 5, result.output
+    assert "10 of 10 replicates failed" in result.output
+    assert "vanishing variance" in result.output
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+def test_mc_bad_failure_rate_exits_2(runner, tmp_path, rate):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"L": 2, "lambda0": [2.0], "n": [10], "replicates": 5,
+                                    "seed": 3, "max_failure_rate": rate}))
+    result = runner.invoke(main, ["mc", "--config", str(cfg_path),
+                                  "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "max_failure_rate" in result.output

@@ -274,9 +274,9 @@ def test_pipeline_deterministic():
     img_a = blob_image((6, 6), [(2.0, 2.0)], [1.0], [1.0])
     img_b = blob_image((6, 6), [(3.5, 3.0)], [1.2], [1.0])
     a = rcol_pipeline(img_a, img_b, n=200, seed=9, lam0=1.0, band="bootstrap",
-                      B=50, threads=1)
+                      B=50)
     b = rcol_pipeline(img_a, img_b, n=200, seed=9, lam0=1.0, band="bootstrap",
-                      B=50, threads=3)
+                      B=50)
     assert np.array_equal(a.curve.values, b.curve.values)
     assert np.array_equal(a.curve.lower, b.curve.lower)
     assert a.u_quantile == b.u_quantile

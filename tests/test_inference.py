@@ -53,8 +53,8 @@ def test_sinkhorn_statistic_dirac_zero(two_point_cost):
 def test_sinkhorn_statistic_deterministic_and_thread_invariant():
     rng = np.random.default_rng(3)
     c, r, s = random_instance(rng, 4)
-    a = sinkhorn_statistic(r, s, c, 1.0, n=50, replicates=40, seed=7, threads=1)
-    b = sinkhorn_statistic(r, s, c, 1.0, n=50, replicates=40, seed=7, threads=4)
+    a = sinkhorn_statistic(r, s, c, 1.0, n=50, replicates=40, seed=7)
+    b = sinkhorn_statistic(r, s, c, 1.0, n=50, replicates=40, seed=7)
     assert np.array_equal(a.values, b.values)
 
 
@@ -68,7 +68,7 @@ def test_studentized_statistic_is_pivotal():
     ks = []
     for n in (25, 100, 1000):
         dist = sinkhorn_statistic(r, r, c, lam, n=n, replicates=10_000, seed=11,
-                                  studentize=True, threads=4)
+                                  studentize=True)
         ks.append(ks_distance(dist, "normal"))
     drops = sum(1 for a, b in zip(ks, ks[1:]) if b < a)
     assert drops >= 1 and ks[-1] < ks[0]
@@ -89,11 +89,11 @@ def test_bootstrap_centering_rate():
     lam = 1.0
     draws = rng.choice(4, size=400, p=r.weights)
     r_hat = empirical_distribution(draws, 4)
-    reference = bootstrap_statistic(r_hat, s, c, lam, B=6400, seed=8, threads=4)
+    reference = bootstrap_statistic(r_hat, s, c, lam, B=6400, seed=8)
     center = reference.values.mean()
     assert abs(center) < 3.0 * reference.values.std(ddof=1) / np.sqrt(6400) + 0.05
     for B in (100, 400):
-        dist = bootstrap_statistic(r_hat, s, c, lam, B=B, seed=9, threads=4)
+        dist = bootstrap_statistic(r_hat, s, c, lam, B=B, seed=9)
         sd = dist.values.std(ddof=1)
         assert abs(dist.values.mean() - center) < 3.0 * sd / np.sqrt(B)
 
@@ -110,7 +110,7 @@ def test_mc_experiment_aggregates_replicate_failures(monkeypatch):
     monkeypatch.setattr(inf_mod.sv, "solve_replicates", flaky)
     cfg = MCConfig(L=2, lambda0=(2.0,), n=(15,), replicates=30, seed=17)
     with pytest.raises(ConvergenceError, match="replicates failed"):
-        mc_experiment(cfg, threads=1)
+        mc_experiment(cfg)
 
 
 def test_bootstrap_plan_mean_clt():
@@ -186,8 +186,8 @@ def test_mc_config_validation():
 
 def test_mc_experiment_deterministic_rerun():
     cfg = MCConfig(L=2, lambda0=(2.0, 0.5), n=(20,), replicates=60, seed=13)
-    a = mc_experiment(cfg, threads=1)
-    b = mc_experiment(cfg, threads=3)
+    a = mc_experiment(cfg)
+    b = mc_experiment(cfg)
     for ca, cb in zip(a.cells, b.cells):
         assert np.array_equal(ca.sample.values, cb.sample.values)
         assert ca.ks_normal == cb.ks_normal
@@ -262,7 +262,7 @@ def test_mc_cell_raises_the_failed_replicates_error(fail_replicates):
     fail_replicates({4})
     cfg = MCConfig(L=2, lambda0=(2.0,), n=(15,), replicates=30, seed=17)
     with pytest.raises(NumericalError, match=r"1 of 30 replicates failed.*replicate 4"):
-        mc_experiment(cfg, threads=1)
+        mc_experiment(cfg)
 
 
 def test_bootstrap_band_failure_rate(fail_replicates):

@@ -153,14 +153,20 @@ def test_batched_replicates_match_looped_solves(case):
                                                 max_iter=case["max_iter"])), looped)
     looped = np.array([np.full(3, np.nan) if isinstance(sol, ConvergenceError)
                        else replicate_record(sol) for sol in looped])
-    batched = _replicates(C, r, s, n, lam, 1.0, warm, replicate_record, case["count"],
-                          case["seed"], resample_s=case["resample_s"], tol=1e-9,
-                          max_iter=case["max_iter"], max_failure_rate=1.0)
     ok = ~np.isnan(looped[:, 0])
-    # with every replicate failed the engine cannot know the statistic's shape
-    assert (np.isnan(batched.reshape(case["count"], -1)[:, 0]) == ~ok).all()
+
+    def run_batched():
+        return _replicates(C, r, s, n, lam, 1.0, warm, replicate_record, case["count"],
+                           case["seed"], resample_s=case["resample_s"], tol=1e-9,
+                           max_iter=case["max_iter"], max_failure_rate=1.0)
+
     if not ok.any():
+        # with every replicate failed the engine raises the first failure at any rate
+        with pytest.raises(ConvergenceError, match="replicate 0:"):
+            run_batched()
         return
+    batched = run_batched()
+    assert (np.isnan(batched[:, 0]) == ~ok).all()
     assert (batched[ok, 1] == looped[ok, 1]).all()
     for col in (0, 2):
         assert np.allclose(batched[ok, col], looped[ok, col], rtol=1e-12, atol=0.0)

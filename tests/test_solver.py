@@ -61,7 +61,7 @@ def test_max_iter_exceeded_carries_residual(two_point_cost, symmetric_half):
     s = Prob([0.9, 0.1])
     with pytest.raises(ConvergenceError) as err:
         sinkhorn_matrix(two_point_cost.matrix, symmetric_half.weights, s.weights,
-                        0.02, tol=1e-14, max_iter=2, eps_scaling=False)
+                        0.02, tol=1e-14, max_iter=2)
     assert err.value.residual is not None
 
 
