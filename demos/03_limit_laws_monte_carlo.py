@@ -32,7 +32,7 @@ def main():
 
     # tiny regularization: compare against the non-regularized limit sample
     cfg2 = ri.MCConfig(L=2, lambda0=(0.05,), n=(25,), replicates=2000, seed=21,
-                       studentize=False, compare_ot_limit=True, tol=1e-5)
+                       studentize=False, compare_ot_limit=True)
     rep2 = ri.mc_experiment(cfg2)
     cell2 = rep2.cells[0]
     print(f"\nlambda0 = 0.05, n = 25 on four points:")

@@ -7,6 +7,7 @@ a resampling loop are solved together in one batch.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -204,6 +205,20 @@ def confidence_interval(w: float, sigma2: float, n: int, alpha: float = 0.05,
 # Monte Carlo experiment harness
 
 
+# (type, its name in messages) of each MCConfig field; lambda0 and n may be lists
+_NUMBER, _INTEGER = (numbers.Real, "a number"), (numbers.Integral, "an integer")
+_FLAG, _TEXT = (bool, "true or false"), (str, "a string")
+_MC_FIELD_TYPES = {
+    "L": _INTEGER, "replicates": _INTEGER, "seed": _INTEGER, "max_iter": _INTEGER,
+    "lambda0": (numbers.Real, "a number or a list of numbers"),
+    "n": (numbers.Integral, "an integer or a list of integers"),
+    "dirichlet_alpha": _NUMBER, "p": _NUMBER, "extent": _NUMBER, "kappa": _NUMBER,
+    "tol": _NUMBER, "max_failure_rate": _NUMBER,
+    "studentize": _FLAG, "compare_ot_limit": _FLAG, "lambda_of_n": _FLAG,
+    "mode": _TEXT, "metric": _TEXT,
+}
+
+
 @dataclass(frozen=True)
 class MCConfig:
     """Configuration of a Monte Carlo cell sweep on an equidistant grid."""
@@ -227,6 +242,13 @@ class MCConfig:
     max_failure_rate: float = 0.01
 
     def __post_init__(self):
+        for name, (kind, what) in _MC_FIELD_TYPES.items():
+            value = getattr(self, name)
+            listed = name in ("lambda0", "n") and isinstance(value, (list, tuple, np.ndarray))
+            if not all(isinstance(x, kind) and (kind is bool or not isinstance(x, bool))
+                       for x in (value if listed else [value])):
+                raise TypeError(f"MCConfig key '{name}' must be {what}, "
+                                f"got {type(value).__name__} {value!r}")
         object.__setattr__(self, "lambda0", tuple(float(x) for x in np.atleast_1d(self.lambda0)))
         object.__setattr__(self, "n", tuple(int(x) for x in np.atleast_1d(self.n)))
         if self.mode not in MC_MODES:
@@ -301,6 +323,8 @@ def mc_experiment(config: MCConfig) -> MCReport:
     else:
         s = dirichlet_sample(config.dirichlet_alpha, dim, pop_rng)
 
+    # the unregularized baseline depends on neither lambda0 nor n
+    baseline = sv.exact_ot_baseline(c, r, s) if config.compare_ot_limit else None
     cells = []
     cell_idx = 0
     for lam0 in config.lambda0:
@@ -334,8 +358,7 @@ def mc_experiment(config: MCConfig) -> MCReport:
                 ks_norm = ks_distance(vals / np.sqrt(sigma_pop2), "normal")
 
             ks_ot = None
-            if config.compare_ot_limit:
-                baseline = sv.exact_ot_baseline(c, r, s)
+            if baseline is not None:
                 ot_vals = sv.ot_limit_sample(c, r, baseline.dual_vertices,
                                              M=config.replicates,
                                              seed=child_seed(config.seed, 2, cell_idx))

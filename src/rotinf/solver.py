@@ -3,8 +3,12 @@
 Two solvers compute the unique regularized plan: log-stabilized Sinkhorn
 scaling for the entropy penalty and a damped Newton iteration on the reduced
 dual system for any supported penalty. Both report the max-abs marginal
-residual as their convergence diagnostic. ``solve_replicates`` runs the warm
-Sinkhorn solves of a resampling loop together over one shared kernel.
+residual as their convergence diagnostic. A Sinkhorn solve that stalls, as
+small regularization makes it do, is handed once to a warm entropy Newton
+(Brauer, Clason, Lorenz & Wirth 2017) and resumes Sinkhorn after one column
+update, or where it stalled when Newton fails. ``solve_replicates`` runs the
+warm Sinkhorn solves of a resampling loop together over one shared kernel,
+and its stalled replicates through one stacked Newton.
 
 The exact baseline solves the unregularized linear program on tiny instances
 with the dual simplex and reads every optimal dual vertex off the basic plan
@@ -32,10 +36,26 @@ DEFAULT_MAX_ITER = 100_000
 # |log u| threshold at which scaling factors are absorbed into the potentials
 _ABSORB_LOG = 200.0
 
+# A Sinkhorn solve stalls when, at a multiple of the window counted from its
+# warm start, its residual is above the ratio times the residual one window
+# earlier; it then leaves for a warm Newton once.
+_STALL_WINDOW = 50
+_STALL_RATIO = 0.5
+_NEWTON_STEPS = 30
+_PIVOT_FLOOR = 1e-10
+# entries of the (rows, n1, n2) plans a Newton stack holds at once
+_STACK_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Strictly positive transport plan with marginals and solver diagnostics."""
+    """Strictly positive transport plan with marginals and solver diagnostics.
+
+    ``iterations`` counts the solver's steps: Newton steps for ``newton_matrix``;
+    Sinkhorn iterations plus the steps of a stalled solve's Newton hand-off for
+    the entropy solvers, both charged against ``max_iter``. ``residual`` is the
+    max-abs marginal residual at exit.
+    """
 
     entries: np.ndarray  # (n_rows * n_cols,), row-major
     r: Prob
@@ -111,13 +131,21 @@ def _check_problem(C, r, s, lam, tol):
     return C, r, s
 
 
-def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None):
+def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None, resume=None):
     """Stabilized Sinkhorn scaling on raw arrays.
 
     Scaling factors are absorbed into the potentials (f, g) once they leave a
     safe magnitude window; a full log-domain update is used to recover from
-    kernel underflow. Returns (P, f, g, iterations, residual, converged) and
-    never raises on non-convergence.
+    kernel underflow. The exit test is the row residual max|u K v - r|, the
+    column residual too at iteration 0 of a warm start. A solve that stalls
+    (see ``_STALL_WINDOW``) runs one warm Newton from its current scalings
+    (``_newton_stack`` with a stack of one); a column update follows and the
+    exit test decides as usual. A Newton that fails leaves the scalings as
+    they were, and Sinkhorn goes on. Newton steps count as iterations.
+    ``resume`` = (iterations, reference) continues a solve begun elsewhere:
+    its iteration count and its residual at the last window boundary, None
+    once it has tried Newton. Returns (P, f, g, iterations, residual,
+    converged) and never raises on non-convergence.
     """
     n1, n2 = C.shape
     r = np.asarray(r, dtype=float)
@@ -156,17 +184,31 @@ def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None):
     else:
         K = np.exp((f[:, None] + g[None, :] - C) / lam)
         it = 0
+    ref = np.inf
+    if resume is not None:
+        it, ref = resume
 
     converged = False
     res = np.inf
     while True:
         Kv = K @ v
         res = float(np.abs(u * Kv - r).max())
+        if it == 0:  # a warm start has no column update behind it yet
+            res = max(res, float(np.abs(v * (K.T @ u) - s).max()))
         if res <= tol:
             converged = True
             break
         if it >= max_iter:
             break
+        if ref is not None and it % _STALL_WINDOW == 0:
+            if res > _STALL_RATIO * ref:
+                ref = None
+                U, V, taken = _newton_stack(K, u[None], v[None], r[None], s[None], lam, tol,
+                                            min(_NEWTON_STEPS, max_iter - it))
+                u, v = U[0], V[0]
+                it += int(taken[0])
+                continue
+            ref = res
         it += 1
         if (Kv <= 0).any() or not np.isfinite(Kv).all():
             K = log_round()
@@ -188,7 +230,8 @@ def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None):
     return P, f, g, it, res, converged
 
 
-def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, init=None):
+def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, init=None,
+                    _resume=None):
     """Entropy-regularized plan on raw arrays.
 
     A cold start at small lam (below span(C) / 25) first solves a ladder of
@@ -204,6 +247,10 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, in
         Regularization strength, > 0.
     init : (f0, g0) pair, optional
         Warm-start potentials.
+    _resume : (iterations, reference), optional
+        Continues a warm solve that ``solve_replicates`` began with that many
+        iterations and that stall state (see ``_sinkhorn_core``); ``max_iter``
+        then bounds the whole solve.
 
     Returns
     -------
@@ -212,6 +259,8 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, in
     f, g : ndarray
         Dual potentials, with ``P = exp((f + g^T - C) / lam)``.
     iterations : int
+        Sinkhorn iterations, the ladder's included, plus the steps of a
+        Newton hand-off; Newton steps count against ``max_iter``.
     residual : float
     """
     C, r, s = _check_problem(C, r, s, lam, tol)
@@ -237,7 +286,8 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, in
             ladder_iters += it
             hot /= 4.0
 
-    P, f, g, it, res, ok = _sinkhorn_core(C, r, s, lam, tol, max_iter, f=f0, g=g0)
+    P, f, g, it, res, ok = _sinkhorn_core(C, r, s, lam, tol, max_iter, f=f0, g=g0,
+                                          resume=_resume)
     if not ok:
         raise _sinkhorn_failure(tol, max_iter, res, it + ladder_iters)
     return P, f, g, it + ladder_iters, res
@@ -309,6 +359,108 @@ def _reduced_gram(W):
     M[n1:, :n1] = W[:, :-1].T
     M[n1:, n1:] = np.diag(cols[:-1])
     return M
+
+
+def _newton_stack(K, U, V, R, S, lam, tol, steps):
+    """Warm entropy Newton for a stack of plans diag(U[b]) K diag(V[b]) on one kernel.
+
+    Row b of ``U`` (B, n1) and ``V`` (B, n2) holds Sinkhorn scalings, zero off
+    the support of its marginals R[b] and S[b]. Each step solves the row-block
+    Schur form of GramFactor for every row at once: on the union shape, with
+    an identity block on the rows off a plan's support and its last support
+    column, whose potential is pinned, zeroed. Steps backtrack row by row to
+    an Armijo increase of the dual. A row succeeds once the plan after a
+    column update v = s / (K^T u) meets ``tol`` on the row residual, and fails
+    when its Gram is not positive definite, its line search underflows or
+    ``steps`` run out. Rows are taken in chunks of at most _STACK_ENTRIES plan
+    entries. Returns (U, V, taken): the Newton scalings with the column update
+    applied for rows that succeeded and the input scalings for rows that
+    failed, and the steps each row attempted.
+    """
+    size = max(1, _STACK_ENTRIES // K.size)
+    chunks = [_newton_chunk(K, *(x[lo:lo + size] for x in (U, V, R, S)), lam, tol, steps)
+              for lo in range(0, len(U), size)]
+    return tuple(np.concatenate(part) for part in zip(*chunks))
+
+
+def _newton_chunk(K, U, V, R, S, lam, tol, steps):
+    """``_newton_stack`` on one chunk of rows."""
+    B, (n1, n2) = len(U), K.shape
+    U_out, V_out = U.copy(), V.copy()
+    taken = np.zeros(B, dtype=int)
+    free = S > 0
+    free[np.arange(B), n2 - 1 - np.argmax(free[:, ::-1], axis=1)] = False
+    idx = np.arange(B)  # rows still iterating, and their state:
+    u, v, r, s, off_row = U, V, R, S, R <= 0
+    with np.errstate(all="ignore"):  # overflowing or vanishing trial steps are refused
+        P = u[:, :, None] * K * v[:, None, :]
+        while idx.size:
+            rsum, csum = P.sum(axis=2), P.sum(axis=1)
+            col_scale = np.divide(s, csum, out=np.zeros_like(s), where=s > 0)
+            fit = np.abs((P * col_scale[:, None, :]).sum(axis=2) - r).max(axis=1)
+            col = v * col_scale
+            done = (fit <= tol) & (np.isfinite(col) & ((col > 0) | (s <= 0))).all(axis=1)
+            U_out[idx[done]], V_out[idx[done]] = u[done], col[done]
+            keep = ~done & (taken[idx] < steps)
+            idx, u, v, r, s, off_row, P, rsum, csum = (
+                a[keep] for a in (idx, u, v, r, s, off_row, P, rsum, csum))
+            if not idx.size:
+                break
+            taken[idx] += 1
+            fr = free[idx]
+            W = P * fr[:, None, :]
+            c = np.where(fr, csum, 1.0)
+            Wc = W / c[:, None, :]
+            F_row, F_col = rsum - r, np.where(fr, csum - s, 0.0)
+            G = -(Wc @ W.transpose(0, 2, 1))
+            G[:, np.arange(n1), np.arange(n1)] += rsum + off_row
+            pd = _positive_definite(G, rsum.max(axis=1))
+            y = -F_row + (Wc @ F_col[:, :, None])[:, :, 0]
+            x = np.zeros_like(u)
+            x[pd] = np.linalg.solve(G[pd], y[pd, :, None])[:, :, 0]
+            z = (-F_col - (W.transpose(0, 2, 1) @ x[:, :, None])[:, :, 0]) / c
+            # the dual <a, r> + <b, s> - lam * sum(P) in the log scalings a, b
+            linear = (np.where(off_row, 0.0, r * np.log(u)).sum(axis=1)
+                      + np.where(s > 0, s * np.log(v), 0.0).sum(axis=1))
+            mass = P.sum(axis=(1, 2))
+            rounding = 1e-14 * np.maximum(1.0, lam * np.abs(linear - mass))
+            slope = -lam * ((F_row * x).sum(axis=1) + (F_col * z).sum(axis=1))
+            rise = lam * ((r * x).sum(axis=1) + (s * z).sum(axis=1))
+            t = np.ones(idx.size)
+            trying = np.flatnonzero(pd)
+            while trying.size:
+                tt = t[trying]
+                ut = u[trying] * np.exp(tt[:, None] * x[trying])
+                vt = v[trying] * np.exp(tt[:, None] * z[trying])
+                Pt = ut[:, :, None] * K * vt[:, None, :]
+                gain = tt * rise[trying] - lam * (Pt.sum(axis=(1, 2)) - mass[trying])
+                ok = ((np.isfinite(ut) & ((ut > 0) | off_row[trying])).all(axis=1)
+                      & (np.isfinite(vt) & ((vt > 0) | (s[trying] <= 0))).all(axis=1)
+                      & (gain >= 1e-4 * tt * slope[trying] - rounding[trying]))
+                moved = trying[ok]
+                u[moved], v[moved], P[moved] = ut[ok], vt[ok], Pt[ok]
+                t[trying[~ok]] *= 0.5
+                trying = trying[~ok & (t[trying] >= 1e-14)]
+            keep = pd & (t >= 1e-14)
+            idx, u, v, r, s, off_row, P = (a[keep] for a in (idx, u, v, r, s, off_row, P))
+    return U_out, V_out, taken
+
+
+def _positive_definite(G, scale):
+    """Which matrices of the stack G have a Cholesky factor whose pivots all exceed
+    _PIVOT_FLOOR times their ``scale``; below it, rounding alone decides the
+    direction (as when a plan's kernel has underflowed between two blocks)."""
+    def ok(g, scale):
+        try:
+            pivots = np.diagonal(np.linalg.cholesky(g), axis1=-2, axis2=-1) ** 2
+        except np.linalg.LinAlgError:
+            return False
+        return pivots.min(axis=-1) > _PIVOT_FLOOR * scale
+
+    pd = ok(G, scale)
+    if pd is False:  # some factor failed: find which
+        pd = np.array([ok(g, c) for g, c in zip(G, scale)], dtype=bool)
+    return pd
 
 
 def newton_matrix(reg: rg.Regularizer, C, r, s, lam, tol=DEFAULT_TOL, max_iter=200):
@@ -519,63 +671,81 @@ def solve_reduced(cost, r_weights, s_weights, lam, reg: rg.Regularizer | None = 
 _DONE, _HANDOFF, _FAILED = 0, 1, 2
 
 
-def _sinkhorn_batch(K, R, S, tol, max_iter):
-    """Plain Sinkhorn scaling of many marginal pairs, the rows of R and S, over one kernel.
+def _sinkhorn_batch(K, R, S, lam, tol, max_iter):
+    """Sinkhorn scaling of many marginal pairs, the rows of R and S, over one kernel.
 
     Every row starts at u, v = 1 on its support and 0 off it, and all rows
-    advance together, so a row's iteration count is the loop's. A row leaves
-    with status _DONE at the iteration where max|u K v - r| reaches tol and
-    _FAILED once max_iter is spent. It leaves with _HANDOFF, for
-    ``_sinkhorn_core`` to absorb and finish, when its scalings leave the
-    absorption window (the state after the update) or cannot be formed (the
-    state before it, whose round the core redoes), and when it is the last
-    row running. Returns the final (U, V), iteration counts, residuals and
-    statuses; nothing larger than (B, n1 + n2) besides K.
+    advance together. A row leaves with status _DONE at the iteration where
+    max|u K v - r| reaches tol and _FAILED once max_iter is spent. It leaves
+    with _HANDOFF, for ``_sinkhorn_core`` to absorb and finish, when its
+    scalings leave the absorption window (the state after the update) or
+    cannot be formed (the state before it, whose round the core redoes), and
+    when it is the last row running. The rows that stall at one window
+    boundary, by the core's test, run one ``_newton_stack`` together and skip
+    that round's update, as the core does; their counts add the Newton steps.
+    Returns the final (U, V), iteration counts, residuals, statuses and
+    residuals at the last window boundary (NaN once a row has tried Newton);
+    nothing larger than (B, n1 + n2) besides K and the Newton chunks.
     """
     U_out = (R > 0).astype(float)
     V_out = (S > 0).astype(float)
     iters = np.zeros(R.shape[0], dtype=int)
     resid = np.zeros(R.shape[0])
     status = np.full(R.shape[0], _HANDOFF)
+    refs = np.full(R.shape[0], np.inf)
     lo, hi = np.exp(-_ABSORB_LOG), np.exp(_ABSORB_LOG)
     live = np.arange(R.shape[0])
     U, V, r_off, s_off = U_out, V_out, R <= 0, S <= 0
+    ref = refs.copy()
+    extra = np.zeros(R.shape[0], dtype=int)  # Newton steps less the updates they replaced
 
     def leave(mask, it, code):
-        nonlocal live, U, V, KV, R, S, r_off, s_off
+        nonlocal live, U, V, KV, R, S, r_off, s_off, res, ref, extra
         idx = live[mask]
-        U_out[idx], V_out[idx], status[idx] = U[mask], V[mask], code
-        iters[idx] = np.broadcast_to(it, mask.shape)[mask]
+        U_out[idx], V_out[idx], status[idx], refs[idx] = U[mask], V[mask], code, ref[mask]
+        iters[idx] = (it + extra)[mask]
         keep = ~mask
-        live, U, V, KV, R, S, r_off, s_off = (
-            x[keep] for x in (live, U, V, KV, R, S, r_off, s_off))
+        live, U, V, KV, R, S, r_off, s_off, res, ref, extra = (
+            x[keep] for x in (live, U, V, KV, R, S, r_off, s_off, res, ref, extra))
 
     it = 0
     with np.errstate(all="ignore"):  # zero or overflowing scalings hand the row off
         while live.size > 1:
             KV = V @ K.T
             res = np.abs(U * KV - R).max(axis=1)
+            if it == 0:  # as in the core, the warm start's columns count too
+                res = np.maximum(res, np.abs(V * (U @ K) - S).max(axis=1))
             resid[live] = res
             if (res <= tol).any():
                 leave(res <= tol, it, _DONE)
-            if it >= max_iter:
-                leave(np.ones(live.size, dtype=bool), it, _FAILED)
+            if live.size and it + extra.max() >= max_iter:
+                leave(it + extra >= max_iter, it, _FAILED)
             if live.size <= 1:
                 break
+            stalled, ref_before = None, ref
+            if it % _STALL_WINDOW == 0:  # rows still watched have extra = 0
+                stalled = res > _STALL_RATIO * ref
+                ref = np.where(np.isnan(ref) | stalled, np.nan, res)
             it += 1
             U_old, V_old = U, V
             U = np.divide(R, KV, out=np.zeros_like(R), where=~r_off)
             V = np.divide(S, U @ K, out=np.zeros_like(S), where=~s_off)
             out = ~((((U >= lo) & (U <= hi)) | r_off).all(axis=1)
                     & (((V >= lo) & (V <= hi)) | s_off).all(axis=1))
+            if stalled is not None and stalled.any():
+                U[stalled], V[stalled], taken = _newton_stack(
+                    K, U_old[stalled], V_old[stalled], R[stalled], S[stalled], lam, tol,
+                    min(_NEWTON_STEPS, max_iter - it + 1))
+                extra[stalled] += taken - 1
+                out &= ~stalled
             if out.any():
                 formed = ((np.isfinite(U) & ((U > 0) | r_off)).all(axis=1)
                           & (np.isfinite(V) & ((V > 0) | s_off)).all(axis=1))
                 redo = out & ~formed
-                U[redo], V[redo] = U_old[redo], V_old[redo]
+                U[redo], V[redo], ref[redo] = U_old[redo], V_old[redo], ref_before[redo]
                 leave(out, it - redo, _HANDOFF)
-        U_out[live], V_out[live], iters[live] = U, V, it
-    return U_out, V_out, iters, resid, status
+        U_out[live], V_out[live], iters[live], refs[live] = U, V, it + extra, ref
+    return U_out, V_out, iters, resid, status, refs
 
 
 def solve_replicates(C, R, S, lam, p, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -589,11 +759,12 @@ def solve_replicates(C, R, S, lam, p, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MA
     rounding, or the ConvergenceError or NumericalError it raises.
 
     One kernel exp((f0 + g0 - C) / lam) on the union of the supports serves
-    every replicate (see ``_sinkhorn_batch``). Replicates that leave the batch
-    early or last finish in ``sinkhorn_matrix`` from their absorbed potentials
-    with the rest of their ``max_iter``, and a replicate with a single atom on
-    either side goes through ``solve_reduced``. Plans are built one at a time,
-    as they are yielded.
+    every replicate (see ``_sinkhorn_batch``), and the replicates that stall
+    at one iteration run one stacked Newton over it. Replicates that leave the
+    batch early or last finish in ``sinkhorn_matrix`` from their absorbed
+    potentials, carrying their iteration count and stall state, and a
+    replicate with a single atom on either side goes through
+    ``solve_reduced``. Plans are built one at a time, as they are yielded.
     """
     C = np.asarray(C, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -617,7 +788,7 @@ def solve_replicates(C, R, S, lam, p, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MA
         Rb[i, rloc[rows]] = r_red.weights
         Sb[i, cloc[cols]] = s_red.weights
     K = np.exp((f0[ru][:, None] + g0[cu][None, :] - C[np.ix_(ru, cu)]) / lam)
-    U, V, iters, resid, status = _sinkhorn_batch(K, Rb, Sb, tol, max_iter)
+    U, V, iters, resid, status, refs = _sinkhorn_batch(K, Rb, Sb, lam, tol, max_iter)
 
     def finish(i, support):
         rows, cols, r_red, s_red = support
@@ -632,14 +803,10 @@ def solve_replicates(C, R, S, lam, p, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MA
             P = (u[:, None] * K[np.ix_(rloc[rows], cloc[cols])]) * v[None, :]
             it, res = used, float(resid[i])
         else:
-            try:
-                P, f, g, it, res = sinkhorn_matrix(C_red, r_red.weights, s_red.weights, lam,
-                                                   tol=tol, max_iter=max_iter - used,
-                                                   init=(f, g))
-            except ConvergenceError as err:
-                raise _sinkhorn_failure(tol, max_iter, err.residual,
-                                        err.iterations + used) from None
-            it += used
+            watch = (used, None if np.isnan(refs[i]) else float(refs[i]))
+            P, f, g, it, res = sinkhorn_matrix(C_red, r_red.weights, s_red.weights, lam,
+                                               tol=tol, max_iter=max_iter, init=(f, g),
+                                               _resume=watch)
         return _solution(C_red, support, C.shape, P, it, res, lam, p, rg.entropy(), f, g)
 
     slot = dict(zip(batch, range(len(batch))))

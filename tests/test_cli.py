@@ -441,3 +441,21 @@ def test_mc_bad_failure_rate_exits_2(runner, tmp_path, rate):
                                   "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert "max_failure_rate" in result.output
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("max_failure_rate", "0.5", "a number"),
+    ("replicates", 5.0, "an integer"),
+    ("studentize", 1, "true or false"),
+    ("lambda0", ["2.0"], "a number or a list of numbers"),
+    ("n", [10, 2.5], "an integer or a list of integers"),
+])
+def test_mc_config_of_the_wrong_type_exits_2(runner, tmp_path, key, value, expected):
+    cfg = {"L": 2, "lambda0": [2.0], "n": [10], "replicates": 5, "seed": 3}
+    cfg[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    result = runner.invoke(main, ["mc", "--config", str(cfg_path),
+                                  "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"'{key}' must be {expected}" in result.output

@@ -213,3 +213,63 @@ def test_single_atom_replicates_keep_the_scalar_path():
     assert [sol.plan.iterations == 0 for sol in batched] == [True, True, False]
     assert np.allclose(batched[0].plan.entries, s)
     assert_same_solves(batched, looped_solves(C, R, S, 0.2, warm, sv.DEFAULT_MAX_ITER))
+
+
+def recorded_newton(monkeypatch):
+    """Patch in a recorder of (fell back, steps taken) for every Newton row."""
+    outcomes = []
+    real = sv._newton_stack
+
+    def recorded(K, U, V, *args):
+        U_new, V_new, taken = real(K, U, V, *args)
+        outcomes.extend(zip((U_new == U).all(axis=1).tolist(), taken.tolist()))
+        return U_new, V_new, taken
+
+    monkeypatch.setattr(sv, "_newton_stack", recorded)
+    return outcomes
+
+
+def test_failed_newton_falls_back_to_sinkhorn(monkeypatch):
+    # at lam = 0.002 the cross entries of the first two plans have underflowed
+    # below 1e-190 when they stall, so their Grams are singular: Newton fails
+    # at its first step, and Sinkhorn resumes where it stalled and finishes
+    # them, or fails the second at the lower max_iter. The last replicate's
+    # Newton succeeds. Batched and looped solves take the same path.
+    C = 1.0 - np.eye(3)
+    third = np.full(3, 1.0 / 3.0)
+    warm = solve_reduced(C, third, third, 0.002, p=1.0).potentials
+    R = np.array([[0.0, 0.1, 0.9], [0.2, 0.3, 0.5], [0.0, 0.1, 0.9]])
+    S = np.array([[0.0, 0.9, 0.1], [0.3, 0.3, 0.4], [0.3, 0.1, 0.6]])
+    outcomes = recorded_newton(monkeypatch)
+    for max_iter in (sv.DEFAULT_MAX_ITER, 300):
+        batched = list(sv.solve_replicates(C, R, S, 0.002, 1.0, warm, max_iter=max_iter))
+        in_batch = sorted(outcomes)
+        outcomes.clear()
+        looped = looped_solves(C, R, S, 0.002, warm, max_iter)
+        assert in_batch == sorted(outcomes) == [(False, 14), (True, 1), (True, 1)]
+        outcomes.clear()
+        assert_same_solves(batched, looped)
+    assert [sol.plan.iterations for sol in batched[::2]] == [120, 114]
+    assert isinstance(batched[1], ConvergenceError) and batched[1].iterations == 300
+    # the last replicate stalls at iteration 100 and needs 14 Newton steps; with
+    # fewer left its Newton falls back too, and the solve fails at max_iter
+    # with the residual it stalled at
+    at_stall, cut_short = (list(sv.solve_replicates(C, R[[2, 2]], S[[2, 2]], 0.002, 1.0, warm,
+                                                    max_iter=max_iter))
+                           for max_iter in (100, 113))
+    assert cut_short[0].iterations == 113
+    assert cut_short[0].residual == at_stall[0].residual == at_stall[1].residual
+
+
+def test_newton_failing_midway_falls_back_to_where_it_stalled(monkeypatch):
+    # at lam = 0.02 these Newtons move for two steps and fail at the third
+    C = 1.0 - np.eye(3)
+    third = np.full(3, 1.0 / 3.0)
+    warm = solve_reduced(C, third, third, 0.02, p=1.0).potentials
+    R = np.array([[0.1, 0.4, 0.5], [0.4, 0.5, 0.1]])
+    S = np.array([[0.1, 0.3, 0.6], [0.3, 0.6, 0.1]])
+    outcomes = recorded_newton(monkeypatch)
+    batched = list(sv.solve_replicates(C, R, S, 0.02, 1.0, warm))
+    assert outcomes == [(True, 3), (True, 3)]
+    assert [sol.plan.iterations for sol in batched] == [148, 148]
+    assert_same_solves(batched, looped_solves(C, R, S, 0.02, warm, sv.DEFAULT_MAX_ITER))

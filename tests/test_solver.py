@@ -7,11 +7,13 @@ from scipy.optimize import bisect, minimize_scalar
 
 import rotinf.regularizers as rg
 from rotinf import (ConvergenceError, CostVector, GroundSpace, Prob,
-                    ReductionRequiredError, cost_from_metric, cost_quantile,
-                    divergence, dual_potentials, exact_ot_baseline,
+                    ReductionRequiredError, build_grid_space, cost_from_metric,
+                    cost_quantile, divergence, dual_potentials, exact_ot_baseline,
                     ot_limit_sample, sinkhorn_entropy, solve_general,
                     solve_reduced)
-from rotinf.solver import newton_matrix, sinkhorn_matrix
+from rotinf._util import rng_for
+from rotinf.inference import dirichlet_sample
+from rotinf.solver import DEFAULT_TOL, newton_matrix, sinkhorn_matrix
 
 from conftest import random_instance
 
@@ -73,6 +75,37 @@ def test_small_lambda_stability(two_point_cost):
     # at vanishing regularization the plan approaches the exact optimum
     exact = exact_ot_baseline(two_point_cost, r, s)
     assert abs(np.dot(two_point_cost.entries, plan.entries) - exact.value) < 1e-3
+
+
+def test_small_lambda_population_stall_finishes_in_newton():
+    # the criterion-6 population: r against itself at lambda0 = 0.05 on the
+    # 2 x 2 grid. Plain Sinkhorn stalls near residual 1.7e-7 and spends all
+    # 100,000 iterations; the warm Newton hand-off finishes it in a few steps
+    c = cost_from_metric(build_grid_space(2, 1.0), p=1.0)
+    r = dirichlet_sample(1.0, 4, rng_for(21, 0)).weights
+    lam = 0.05 * cost_quantile(c, 0.5)
+    solve_reduced(c.matrix, r, r, 1.0, p=1.0)  # warm the imports out of the timing
+    start = time.perf_counter()
+    sol = solve_reduced(c.matrix, r, r, lam, p=1.0)
+    elapsed = time.perf_counter() - start
+    P = sol.plan.matrix
+    assert sol.plan.iterations < 1000 and elapsed < 0.1
+    assert np.abs(P.sum(axis=1) - r).max() <= DEFAULT_TOL
+    # the column update after Newton keeps the columns exact
+    assert np.abs(P.sum(axis=0) - r).max() <= 1e-15
+
+
+def test_warm_start_checks_both_marginals():
+    # the warm plan's rows already match r, so only its columns tell it from
+    # the plan to (r, s); a warm solve must not return it unchanged
+    C = 1.0 - np.eye(3)
+    third = np.full(3, 1.0 / 3.0)
+    s = np.array([0.5, 0.25, 0.25])
+    for lam in (0.5, 0.002):
+        warm = solve_reduced(C, third, third, lam, p=1.0).potentials
+        P = solve_reduced(C, third, s, lam, p=1.0, init=warm).plan.matrix
+        assert np.abs(P.sum(axis=0) - s).max() <= 1e-15
+        assert np.abs(P.sum(axis=1) - third).max() <= DEFAULT_TOL
 
 
 def test_newton_agrees_with_sinkhorn():
