@@ -315,14 +315,14 @@ def _bootstrap_band_core(C_red, r_red, s_red, lam, p, B, alpha, seed, n,
     P, f, g, _, _ = sv.sinkhorn_matrix(C_red, r_red, s_red, lam, tol=tol, max_iter=max_iter)
     base_vals = _group_curve(groups.ravel(), P.ravel(), thresholds.size)
 
-    def replicate_curve(sol):
-        # the replicate's support is a sub-block of C_red, so it reuses the groups
-        block = groups[np.ix_(sol.row_support, sol.col_support)]
-        return _group_curve(block.ravel(), sol.plan.entries, thresholds.size)
+    def replicate_curves(sols):
+        # each replicate's support is a sub-block of C_red, so it reuses the groups
+        return [_group_curve(groups[np.ix_(sol.row_support, sol.col_support)].ravel(),
+                             sol.plan.entries, thresholds.size) for sol in sols]
 
     # failed replicates keep their slot as NaN rows so that index pairing
     # across settings stays aligned
-    rep = _replicates(C_red, r_red, s_red, n, lam, p, (f, g), replicate_curve, int(B), seed,
+    rep = _replicates(C_red, r_red, s_red, n, lam, p, (f, g), replicate_curves, int(B), seed,
                       resample_s=True, tol=tol, max_iter=max_iter,
                       max_failure_rate=max_failure_rate)
     valid = ~np.isnan(rep[:, 0])

@@ -1,12 +1,15 @@
 """Monte Carlo and bootstrap inference for regularized transport statistics.
 
 Every stochastic routine here is a pure function of its inputs and an integer
-seed; replicate k draws from a stream derived from (seed, k), and the draws of
-a resampling loop are solved together in one batch.
+seed; replicate k draws from a stream derived from (seed, k). The draws of a
+resampling loop are solved together in one batch, and the loop's statistic is
+evaluated over the stack of its solutions: the studentized divergence takes
+every replicate's plug-in variance from one stacked Gram solve.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -67,12 +70,39 @@ def _studentized(raw: float, sigma2: float) -> float:
     raise NumericalError("vanishing variance with a nonzero statistic")
 
 
-def _divergence_statistic(w0: float, rate: float, mode: str | None = None,
+def _sigma2_stack(C, sols, mode: str, delta: float | None = None) -> np.ndarray:
+    """``_sigma2_at`` of every solution of a resampling loop on the cost matrix C,
+    through one stacked solve; NaN where the stack leaves a solution out."""
+    B, (n1, n2) = len(sols), C.shape
+    P, R, S = np.zeros((B, n1, n2)), np.zeros((B, n1)), np.zeros((B, n2))
+    for b, sol in enumerate(sols):
+        P[b, sol.row_support[:, None], sol.col_support] = sol.plan.matrix
+        R[b, sol.row_support] = sol.plan.r.weights
+        S[b, sol.col_support] = sol.plan.s.weights
+    return sens.divergence_variances(C, P, R, S, sols[0].plan.p, mode=mode, delta=delta)
+
+
+def _divergence_statistic(C, w0: float, rate: float, mode: str | None = None,
                           delta: float | None = None):
-    """Statistic rate * (W(sol) - w0), studentized at the solution unless mode is None."""
-    def statistic(sol):
-        raw = rate * (sol.divergence() - w0)
-        return raw if mode is None else _studentized(raw, _sigma2_at(sol, mode, delta))
+    """Statistic rate * (W(sol) - w0) of the solutions of a loop on the cost matrix C,
+    studentized at each solution unless mode is None.
+
+    The plug-in variances come from one stacked solve (``_sigma2_stack``); a
+    solution it leaves out gets ``_sigma2_at`` and its error, if any.
+    """
+    def statistic(sols):
+        raw = [rate * (sol.divergence() - w0) for sol in sols]
+        if mode is None:
+            return raw
+        out = []
+        for sol, x, sigma2 in zip(sols, raw, _sigma2_stack(C, sols, mode, delta)):
+            try:
+                if np.isnan(sigma2):
+                    sigma2 = _sigma2_at(sol, mode, delta)
+                out.append(_studentized(x, sigma2))
+            except (ConvergenceError, NumericalError) as err:
+                out.append(err)
+        return out
     return statistic
 
 
@@ -83,12 +113,15 @@ def _replicates(C, r, s, n, lam, p, warm, statistic, count, seed, *, resample_s=
     Replicate k draws r* = Mult(n, r) / n and, with ``resample_s``, then
     s* = Mult(n, s) / n from the stream (seed, k); otherwise s* = s. Every
     replicate is drawn first; then ``solver.solve_replicates`` solves them
-    all together from the warm start on their reduced supports, and
-    ``statistic`` is evaluated on each solution in turn. A
-    ``ConvergenceError`` or ``NumericalError`` from either step fails the
-    replicate. Once failures exceed ``max_failure_rate * count``, or when
-    every replicate fails, the first failed replicate's exception type is
-    raised with the failure count, its index and its reason.
+    all together from the warm start on their reduced supports. ``statistic``
+    maps a list of solutions to one value, or one ``ConvergenceError`` or
+    ``NumericalError``, for each. It is called once for each run of
+    replicates that holds at most ``solver._STACK_ENTRIES`` entries of the
+    loop's cost, the Newton stacks' bound, so that what it stacks does not
+    grow with ``count``. An error from either step fails the replicate. Once
+    failures exceed ``max_failure_rate * count``, or when every replicate
+    fails, the first failed replicate's exception type is raised with the
+    failure count, its index and its reason.
     """
     count = int(count)
     R = np.empty((count, len(r)))
@@ -97,12 +130,13 @@ def _replicates(C, r, s, n, lam, p, warm, statistic, count, seed, *, resample_s=
         rng = rng_for(seed, k)
         R[k] = rng.multinomial(n, r) / n
         S[k] = rng.multinomial(n, s) / n if resample_s else s
+    solutions = iter(sv.solve_replicates(C, R, S, lam, p, warm, tol=tol, max_iter=max_iter))
+    chunk = max(1, sv._STACK_ENTRIES // np.size(C))
     results = []
-    for sol in sv.solve_replicates(C, R, S, lam, p, warm, tol=tol, max_iter=max_iter):
-        try:
-            results.append(sol if isinstance(sol, Exception) else statistic(sol))
-        except (ConvergenceError, NumericalError) as err:
-            results.append(err)
+    for part in iter(lambda: list(itertools.islice(solutions, chunk)), []):
+        solved = [x for x in part if not isinstance(x, Exception)]
+        evaluated = iter(statistic(solved) if solved else ())
+        results += [x if isinstance(x, Exception) else next(evaluated) for x in part]
     errors = {k: x for k, x in enumerate(results) if isinstance(x, Exception)}
     if errors and (len(errors) == count or len(errors) > max_failure_rate * count):
         k = min(errors)
@@ -114,6 +148,13 @@ def _replicates(C, r, s, n, lam, p, warm, statistic, count, seed, *, resample_s=
         if k not in errors:
             values[k] = x
     return values
+
+
+def _count(name: str, value) -> int:
+    """An integer parameter of at least 1, refused with its name otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
 
 
 def sinkhorn_statistic(r: Prob, s: Prob, c: CostVector, lam: float, n: int,
@@ -128,14 +169,15 @@ def sinkhorn_statistic(r: Prob, s: Prob, c: CostVector, lam: float, n: int,
     deviation at (r_hat | s) when requested. A failed replicate raises its
     error with the replicate index attached.
     """
+    n, replicates = _count("n", n), _count("replicates", replicates)
     p = c.p if p is None else p
     base = sv.solve_reduced(c.matrix, r.weights, s.weights, lam, p=p, tol=tol,
                             max_iter=max_iter)
-    statistic = _divergence_statistic(base.divergence(), np.sqrt(n),
+    statistic = _divergence_statistic(c.matrix, base.divergence(), np.sqrt(n),
                                       "one_sample" if studentize else None)
     vals = _replicates(c.matrix, r.weights, s.weights, n, lam, p, base.potentials, statistic,
                        replicates, seed, tol=tol, max_iter=max_iter)
-    return SampleDistribution(values=vals, kind="mc", n=int(n), seed=int(seed))
+    return SampleDistribution(values=vals, kind="mc", n=n, seed=int(seed))
 
 
 def bootstrap_statistic(r_hat: Prob, s: Prob, c: CostVector, lam: float, B: int,
@@ -148,19 +190,20 @@ def bootstrap_statistic(r_hat: Prob, s: Prob, c: CostVector, lam: float, B: int,
     r_hat and records sqrt(n) * (W(r*_n, s) - W(r_hat, s)) for each of the B
     replicates.
     """
-    if B < 2:
+    if _count("B", B) < 2:
         raise ValueError("need at least two bootstrap replicates")
     if n is None:
         n = r_hat.n
     if n is None:
         raise ValueError("r_hat carries no sample size; pass n explicitly")
+    n = _count("n", n)
     p = c.p if p is None else p
     base = sv.solve_reduced(c.matrix, r_hat.weights, s.weights, lam, p=p, tol=tol,
                             max_iter=max_iter)
-    statistic = _divergence_statistic(base.divergence(), np.sqrt(n))
+    statistic = _divergence_statistic(c.matrix, base.divergence(), np.sqrt(n))
     vals = _replicates(c.matrix, r_hat.weights, s.weights, n, lam, p, base.potentials,
                        statistic, B, seed, tol=tol, max_iter=max_iter)
-    return SampleDistribution(values=vals, kind="bootstrap", n=int(n), seed=int(seed))
+    return SampleDistribution(values=vals, kind="bootstrap", n=n, seed=int(seed))
 
 
 def gaussian_limit_sampler(action: sens.PlanCovarianceAction, M: int, seed: int) -> np.ndarray:
@@ -172,7 +215,10 @@ def ks_distance(sample, reference) -> float:
     """Kolmogorov-Smirnov distance of a sample to a reference.
 
     ``reference`` may be a CDF callable, the string "normal" for the standard
-    normal, or a second sample (two-sample variant).
+    normal, or a second sample (two-sample variant). Against a CDF F the
+    distance is read off the sorted sample x_(1) <= ... <= x_(n) as
+    max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n), which is what
+    ``scipy.stats.kstest`` reports, without its exact p-value.
     """
     values = sample.values if isinstance(sample, SampleDistribution) else np.asarray(sample, float)
     if isinstance(reference, str):
@@ -180,7 +226,10 @@ def ks_distance(sample, reference) -> float:
             raise ValueError("only the 'normal' shorthand is supported")
         reference = stats.norm.cdf
     if callable(reference):
-        return float(stats.kstest(values, reference).statistic)
+        cdf = reference(np.sort(values))
+        n = cdf.size
+        return float(max((np.arange(1.0, n + 1) / n - cdf).max(),
+                         (cdf - np.arange(0.0, n) / n).max()))
     other = reference.values if isinstance(reference, SampleDistribution) else np.asarray(reference, float)
     return float(stats.ks_2samp(values, other).statistic)
 
@@ -255,6 +304,9 @@ class MCConfig:
             raise ValueError(f"mode must be one of {MC_MODES}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if not self.n or min(self.n) < 1:
+            raise ValueError(f"MCConfig key 'n' must hold sample sizes of at least 1, "
+                             f"got {list(self.n)}")
         if not 0.0 <= self.max_failure_rate <= 1.0:  # also refuses NaN
             raise ValueError("max_failure_rate must lie in [0, 1]")
         if any(l0 <= 0 for l0 in self.lambda0):
@@ -338,7 +390,7 @@ def mc_experiment(config: MCConfig) -> MCReport:
                                     tol=config.tol, max_iter=config.max_iter)
             rate = np.sqrt(n / 2.0) if two_sample else np.sqrt(n)
             sigma_pop2 = _sigma2_at(base, mode, delta)
-            statistic = _divergence_statistic(base.divergence(), rate,
+            statistic = _divergence_statistic(C, base.divergence(), rate,
                                               mode if config.studentize else None, delta)
             try:
                 raw_vals = _replicates(C, r.weights, s.weights, n, lam, config.p,

@@ -7,12 +7,14 @@ The regularized plan, viewed as a function of the reduced marginal vector
 
 where H is the (diagonal) penalty Hessian at the solved plan and A the
 reduced marginal operator. The bracketed Gram matrix is inverted through the
-solver's ``GramFactor``, the row-block Schur complement that the Newton
-iteration factors too. Every covariance here is a congruence of the
-multinomial covariance through blocks of this gradient; the covariance of the
-plan itself is exposed both as a dense matrix (small instances) and as a
-matrix action that samples and multiplies without materializing anything of
-size N^2 x N^2.
+solver's ``GramFactor``, the row-block Schur complement that ``newton_matrix``
+factors too. Every covariance here is a congruence of the multinomial
+covariance through blocks of this gradient; the covariance of the plan itself
+is exposed both as a dense matrix (small instances) and as a matrix action
+that samples and multiplies without materializing anything of size N^2 x N^2.
+``divergence_variances`` evaluates the divergence variance of a whole stack
+of plans, the replicates of a resampling loop, through one ``GramStack``, the
+stacked Schur form that the entropy Newton of a replicate batch solves with.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import regularizers as rg
 from ._util import readonly_array
 from .exceptions import NumericalError
-from .solver import GramFactor, TransportPlan
+from .solver import GramFactor, GramStack, TransportPlan
 from .space import ConstraintOperator, CostVector, Prob
 
 # Largest plan dimension for which N^2 x N^2 covariances are materialized
@@ -39,9 +41,9 @@ def multinomial_cov(r) -> np.ndarray:
     return np.diag(w) - np.outer(w, w)
 
 
-def _multinomial_quad(w, z) -> float:
-    """z^T (diag(w) - w w^T) z without forming the matrix."""
-    return float(np.sum(w * z * z) - np.sum(w * z) ** 2)
+def _multinomial_quad(w, z):
+    """z^T (diag(w) - w w^T) z without forming the matrix, over the last axis."""
+    return np.sum(w * z * z, axis=-1) - np.sum(w * z, axis=-1) ** 2
 
 
 def _multinomial_factor_apply(w, sqrt_w, Z) -> np.ndarray:
@@ -102,6 +104,14 @@ def entropy_block_schur(plan: TransportPlan) -> np.ndarray:
     return GramFactor(plan.matrix).solve(np.eye(plan.n_rows + plan.n_cols - 1, plan.n_rows))
 
 
+def _check_mode(mode, delta):
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if mode == "two_sample":
+        if delta is None or not 0.0 < delta < 1.0:
+            raise ValueError("two-sample mode needs delta strictly inside (0, 1)")
+
+
 class PlanCovarianceAction:
     """Matrix action of the plan limit covariance.
 
@@ -113,11 +123,7 @@ class PlanCovarianceAction:
 
     def __init__(self, reg: rg.Regularizer, plan: TransportPlan,
                  mode: str = "one_sample", delta: float | None = None):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if mode == "two_sample":
-            if delta is None or not 0.0 < delta < 1.0:
-                raise ValueError("two-sample mode needs delta strictly inside (0, 1)")
+        _check_mode(mode, delta)
         self.mode = mode
         self.delta = float(delta) if delta is not None else None
         self.n_rows = plan.n_rows
@@ -159,9 +165,9 @@ class PlanCovarianceAction:
         t = self._j_transpose(v)
         n1 = self.n_rows
         if self.mode == "one_sample":
-            return _multinomial_quad(self._r, t[:n1])
-        return (self.delta * _multinomial_quad(self._r, t[:n1])
-                + (1.0 - self.delta) * _multinomial_quad(self._s[:-1], t[n1:]))
+            return float(_multinomial_quad(self._r, t[:n1]))
+        return float(self.delta * _multinomial_quad(self._r, t[:n1])
+                     + (1.0 - self.delta) * _multinomial_quad(self._s[:-1], t[n1:]))
 
     @property
     def weights(self) -> np.ndarray:
@@ -270,9 +276,42 @@ def divergence_variance(plan: TransportPlan, c, sigma) -> float:
     return float(gamma @ sigma @ gamma)
 
 
+def divergence_variances(C, P, R, S, p: float, mode: str = "one_sample",
+                         delta: float | None = None) -> np.ndarray:
+    """Divergence limit variances of a stack of entropy plans, one stacked Schur solve.
+
+    P (B, n1, n2) holds plans on the cost matrix C, each zero off its own
+    support, and R (B, n1), S (B, n2) their marginals, zero off it likewise.
+    Slice b gets what ``divergence_variance`` gives at its plan restricted to
+    its support, up to rounding: x = M^{-1} A_red (pi * gamma) through one
+    ``GramStack`` and the multinomial quadratic form of its blocks. A slice
+    that the stack does not factor (see ``GramStack.factored``), that has a
+    support column of no mass or that sits at zero transport cost under a
+    fractional root gets NaN, for the caller to evaluate on its own, through
+    ``GramFactor``, and meet any error there.
+    """
+    _check_mode(mode, delta)
+    free = GramStack.free_columns(S)
+    rsum, csum = P.sum(axis=2), P.sum(axis=1)
+    cost = (C * P).sum(axis=(1, 2))
+    stackable = (free <= (csum > 0)).all(axis=1) & ((cost > 0) | (p == 1.0))
+    P, R, S, free, rsum, csum, cost = (a[stackable] for a in (P, R, S, free, rsum, csum, cost))
+    weighted = P * C  # pi * gamma, with gamma = C at p = 1
+    if p != 1.0:
+        weighted *= ((1.0 / p) * cost ** (1.0 / p - 1.0))[:, None, None]
+    gram = GramStack(P, free, R <= 0, rsum, csum)
+    x, y = gram.solve(weighted.sum(axis=2), np.where(free, weighted.sum(axis=1), 0.0))
+    sigma2 = _multinomial_quad(R, x)
+    if mode == "two_sample":
+        sigma2 = delta * sigma2 + (1.0 - delta) * _multinomial_quad(S * free, y)
+    out = np.full(len(stackable), np.nan)
+    out[np.flatnonzero(stackable)[gram.factored]] = sigma2[gram.factored]
+    return out
+
+
 def objective_variance(alpha, r) -> float:
     """Limit variance of the regularized objective value: alpha^T Sigma(r) alpha."""
     a = getattr(alpha, "alpha", alpha)
     a = np.asarray(a, dtype=float).ravel()
     w = r.weights if isinstance(r, Prob) else np.asarray(r, dtype=float)
-    return _multinomial_quad(w, a)
+    return float(_multinomial_quad(w, a))

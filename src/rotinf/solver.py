@@ -347,6 +347,47 @@ class GramFactor:
         return np.concatenate([x_top, (bottom - self._v.T @ x_top) / c])
 
 
+class GramStack:
+    """GramFactor's Schur complement for a stack of weights W (B, n1, n2), each
+    slice zero off its own support.
+
+    Every system keeps the union shape: a row off a slice's support
+    (``off_row``) gets an identity block, and a column off it, like the
+    slice's last support column, whose potential is pinned, is not ``free``
+    (see ``free_columns``) and is zeroed. ``rsum`` and ``csum`` are the row
+    and column sums of W. ``factored`` marks the slices whose Schur
+    complement has a Cholesky factor with every pivot above _PIVOT_FLOOR
+    times the slice's largest row mass; ``solve`` serves those. The entropy
+    Newton (``_newton_stack``) and the plug-in variances of a resampling loop
+    (``sensitivity.divergence_variances``) solve through it.
+    """
+
+    def __init__(self, W, free, off_row, rsum, csum):
+        n1 = W.shape[1]
+        self._v = W * free[:, None, :]
+        self._c = np.where(free, csum, 1.0)
+        self._vc = self._v / self._c[:, None, :]
+        self._schur = -(self._vc @ self._v.transpose(0, 2, 1))
+        self._schur[:, np.arange(n1), np.arange(n1)] += rsum + off_row
+        self.factored = _positive_definite(self._schur, rsum.max(axis=1))
+
+    @staticmethod
+    def free_columns(S):
+        """The columns of positive weight in S (B, n2), less each row's last one."""
+        free = S > 0
+        free[np.arange(len(S)), S.shape[1] - 1 - np.argmax(free[:, ::-1], axis=1)] = False
+        return free
+
+    def solve(self, top, bottom):
+        """Both blocks (x, y) of M^{-1} [top; bottom] for stacked vectors of length
+        n1 and n2, with x zero on the slices that did not factor."""
+        rhs = top - (self._vc @ bottom[:, :, None])[:, :, 0]
+        x = np.zeros_like(top)
+        ok = self.factored
+        x[ok] = np.linalg.solve(self._schur[ok], rhs[ok, :, None])[:, :, 0]
+        return x, (bottom - (self._v.transpose(0, 2, 1) @ x[:, :, None])[:, :, 0]) / self._c
+
+
 def _reduced_gram(W):
     """Dense A_red diag(w) A_red^T: the oracle that tests check GramFactor against."""
     n1, n2 = W.shape
@@ -366,13 +407,11 @@ def _newton_stack(K, U, V, R, S, lam, tol, steps):
 
     Row b of ``U`` (B, n1) and ``V`` (B, n2) holds Sinkhorn scalings, zero off
     the support of its marginals R[b] and S[b]. Each step solves the row-block
-    Schur form of GramFactor for every row at once: on the union shape, with
-    an identity block on the rows off a plan's support and its last support
-    column, whose potential is pinned, zeroed. Steps backtrack row by row to
-    an Armijo increase of the dual. A row succeeds once the plan after a
-    column update v = s / (K^T u) meets ``tol`` on the row residual, and fails
-    when its Gram is not positive definite, its line search underflows or
-    ``steps`` run out. Rows are taken in chunks of at most _STACK_ENTRIES plan
+    Schur systems of every row at once through one ``GramStack`` and
+    backtracks row by row to an Armijo increase of the dual.
+    A row succeeds once the plan after a column update v = s / (K^T u) meets
+    ``tol`` on the row residual, and fails when its Gram is not positive
+    definite, its line search underflows or ``steps`` run out. Rows are taken in chunks of at most _STACK_ENTRIES plan
     entries. Returns (U, V, taken): the Newton scalings with the column update
     applied for rows that succeeded and the input scalings for rows that
     failed, and the steps each row attempted.
@@ -385,11 +424,10 @@ def _newton_stack(K, U, V, R, S, lam, tol, steps):
 
 def _newton_chunk(K, U, V, R, S, lam, tol, steps):
     """``_newton_stack`` on one chunk of rows."""
-    B, (n1, n2) = len(U), K.shape
+    B = len(U)
     U_out, V_out = U.copy(), V.copy()
     taken = np.zeros(B, dtype=int)
-    free = S > 0
-    free[np.arange(B), n2 - 1 - np.argmax(free[:, ::-1], axis=1)] = False
+    free = GramStack.free_columns(S)
     idx = np.arange(B)  # rows still iterating, and their state:
     u, v, r, s, off_row = U, V, R, S, R <= 0
     with np.errstate(all="ignore"):  # overflowing or vanishing trial steps are refused
@@ -408,17 +446,10 @@ def _newton_chunk(K, U, V, R, S, lam, tol, steps):
                 break
             taken[idx] += 1
             fr = free[idx]
-            W = P * fr[:, None, :]
-            c = np.where(fr, csum, 1.0)
-            Wc = W / c[:, None, :]
+            gram = GramStack(P, fr, off_row, rsum, csum)
+            pd = gram.factored
             F_row, F_col = rsum - r, np.where(fr, csum - s, 0.0)
-            G = -(Wc @ W.transpose(0, 2, 1))
-            G[:, np.arange(n1), np.arange(n1)] += rsum + off_row
-            pd = _positive_definite(G, rsum.max(axis=1))
-            y = -F_row + (Wc @ F_col[:, :, None])[:, :, 0]
-            x = np.zeros_like(u)
-            x[pd] = np.linalg.solve(G[pd], y[pd, :, None])[:, :, 0]
-            z = (-F_col - (W.transpose(0, 2, 1) @ x[:, :, None])[:, :, 0]) / c
+            x, z = gram.solve(-F_row, -F_col)
             # the dual <a, r> + <b, s> - lam * sum(P) in the log scalings a, b
             linear = (np.where(off_row, 0.0, r * np.log(u)).sum(axis=1)
                       + np.where(s > 0, s * np.log(v), 0.0).sum(axis=1))

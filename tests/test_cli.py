@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -459,3 +460,17 @@ def test_mc_config_of_the_wrong_type_exits_2(runner, tmp_path, key, value, expec
                                   "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert f"'{key}' must be {expected}" in result.output
+
+
+@pytest.mark.parametrize("n", [[0], [25, -2]])
+def test_mc_sample_size_below_one_exits_2(runner, tmp_path, n):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"L": 2, "lambda0": [2.0], "n": n, "replicates": 5,
+                                    "seed": 3}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["mc", "--config", str(cfg_path),
+                                      "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "MCConfig key 'n'" in result.output
+    assert caught == []

@@ -44,6 +44,22 @@ def test_ks_distance_oracles():
     assert ks_distance(sample, sample) == 0.0
 
 
+def test_ks_distance_equals_scipys_statistic():
+    # sizes from 1, a third of the samples with ties, against the normal and a
+    # second CDF; the direct formula must give scipy's statistic to the bit
+    rng = np.random.default_rng(21)
+    for k in range(300):
+        size = 1 + k % 60
+        x = rng.standard_normal(size)
+        if k % 3 == 0:
+            x = np.round(x, 1)
+        assert ks_distance(x, "normal") == stats.kstest(x, stats.norm.cdf).statistic
+        y = np.abs(x)
+        assert ks_distance(y, stats.expon.cdf) == stats.kstest(y, stats.expon.cdf).statistic
+    for x in ([0.3], [0.0, 0.0, 0.0], [-1.0, 2.0, 2.0, 2.0]):
+        assert ks_distance(x, "normal") == stats.kstest(x, stats.norm.cdf).statistic
+
+
 def test_sinkhorn_statistic_dirac_zero(two_point_cost):
     r = Prob([1.0, 0.0])
     dist = sinkhorn_statistic(r, r, two_point_cost, 1.0, n=10, replicates=20, seed=0)
@@ -214,6 +230,32 @@ def test_mc_cell_qq_data():
     v, q = rep.cells[0].qq_data()
     assert v.size == q.size == 50
     assert (np.diff(v) >= 0).all()
+
+
+@pytest.mark.parametrize("name, value", [("replicates", 0), ("replicates", -1),
+                                         ("replicates", 2.5), ("n", 0), ("n", -2),
+                                         ("n", 2.5)])
+def test_statistics_refuse_bad_counts_before_solving(monkeypatch, two_point_cost, name, value):
+    import rotinf.inference as inf_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating")
+
+    monkeypatch.setattr(inf_mod.sv, "solve_reduced", no_solve)
+    half = Prob([0.5, 0.5])
+    kwargs = {"n": 10, "replicates": 5, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1"):
+        sinkhorn_statistic(half, half, two_point_cost, 1.0, seed=0, **kwargs)
+    bad = "B" if name == "replicates" else "n"
+    with pytest.raises(ValueError, match=f"^{bad} must be an integer of at least 1"):
+        bootstrap_statistic(half, half, two_point_cost, 1.0, seed=0,
+                            **{"n": 10, "B": 5, bad: value})
+
+
+def test_mc_config_refuses_sample_sizes_below_one():
+    for n in ((0,), (10, -2), ()):
+        with pytest.raises(ValueError, match="MCConfig key 'n' must hold sample sizes"):
+            MCConfig(L=2, lambda0=(1.0,), n=n, replicates=5, seed=0)
 
 
 def test_interval_and_bootstrap_refuse_degenerate_sizes(two_point_cost):

@@ -1,6 +1,7 @@
 """Structural invariants over generated instances: the Gram factor against the
-dense oracle, A grad_phi = I, PSD covariances, cost-shift invariance, and
-batched replicate solves against looped ones."""
+dense oracle, A grad_phi = I, PSD covariances, marginal feasibility, cost-shift
+invariance, permutation equivariance, batched replicate solves against looped
+ones, and stacked plug-in variances against the one-plan path."""
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rotinf.regularizers as rg
+import rotinf.sensitivity as sens
 import rotinf.solver as sv
-from rotinf import (ConvergenceError, NumericalError, plan_covariance, plan_gradient,
-                    solve_reduced)
+from rotinf import (ConvergenceError, GroundSpace, NumericalError, Prob, TransportPlan,
+                    cost_from_metric, plan_covariance, plan_gradient, solve_reduced)
 from rotinf._util import rng_for
-from rotinf.inference import _replicates
+from rotinf.inference import (_divergence_statistic, _replicates, _sigma2_at, _sigma2_stack,
+                              _studentized)
 from rotinf.solver import GramFactor, _reduced_gram
 from rotinf.space import ConstraintOperator
 
@@ -88,6 +91,31 @@ def test_covariances_are_psd(reg, case, delta):
 
 
 @pytest.mark.parametrize("reg", ALL_KINDS, ids=str)
+@given(case=instances())
+def test_plans_meet_their_marginals(reg, case):
+    C, r, s, lam = case
+    tol = 1e-11
+    plan = solved(reg, C, r, s, lam, tol=tol).plan.matrix
+    assert (plan > 0).all()
+    # the solvers test the rows and all columns but the last, which follows
+    cols = np.abs(plan.sum(axis=0) - s)
+    assert max(np.abs(plan.sum(axis=1) - r).max(), cols[:-1].max()) <= tol + 1e-15
+    assert cols[-1] <= sum(plan.shape) * tol
+
+
+@pytest.mark.parametrize("reg", ALL_KINDS, ids=str)
+@given(case=instances(), rows=st.permutations(range(4)), cols=st.permutations(range(4)))
+def test_permuting_the_points_permutes_the_plan(reg, case, rows, cols):
+    C, r, s, lam = case
+    rows = [i for i in rows if i < len(r)]
+    cols = [j for j in cols if j < len(s)]
+    # both solves stop within 1e-13 of the marginals, where the plans agree to 1e-13
+    base = solved(reg, C, r, s, lam, tol=1e-13).plan.matrix
+    moved = solved(reg, C[np.ix_(rows, cols)], r[rows], s[cols], lam, tol=1e-13).plan.matrix
+    assert np.abs(moved - base[np.ix_(rows, cols)]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("reg", ALL_KINDS, ids=str)
 @given(case=instances(), shift=st.floats(0.0, 5.0))
 def test_cost_shift_leaves_plan_unchanged(reg, case, shift):
     C, r, s, lam = case
@@ -109,6 +137,10 @@ def replicate_loops(draw):
 
 def replicate_record(sol):
     return np.array([sol.divergence(), sol.plan.iterations, sol.plan.entries.sum()])
+
+
+def replicate_records(sols):
+    return [replicate_record(sol) for sol in sols]
 
 
 def looped_solves(C, R, S, lam, warm, max_iter):
@@ -156,7 +188,7 @@ def test_batched_replicates_match_looped_solves(case):
     ok = ~np.isnan(looped[:, 0])
 
     def run_batched():
-        return _replicates(C, r, s, n, lam, 1.0, warm, replicate_record, case["count"],
+        return _replicates(C, r, s, n, lam, 1.0, warm, replicate_records, case["count"],
                            case["seed"], resample_s=case["resample_s"], tol=1e-9,
                            max_iter=case["max_iter"], max_failure_rate=1.0)
 
@@ -273,3 +305,83 @@ def test_newton_failing_midway_falls_back_to_where_it_stalled(monkeypatch):
     assert outcomes == [(True, 3), (True, 3)]
     assert [sol.plan.iterations for sol in batched] == [148, 148]
     assert_same_solves(batched, looped_solves(C, R, S, 0.02, warm, sv.DEFAULT_MAX_ITER))
+
+
+@st.composite
+def studentized_loops(draw):
+    """A resampling loop on 2 to 16 points with p in {1, 2}, in one-sample mode or
+    in two-sample mode with both sides resampled."""
+    N = draw(st.integers(2, 16))
+    points = draw(arrays(float, (N, 2), elements=st.floats(0.0, 1.0)))
+    p = draw(st.sampled_from([1.0, 2.0]))
+    r, s = (draw(arrays(float, N, elements=st.floats(0.05, 1.0))) for _ in range(2))
+    delta = draw(st.one_of(st.none(), st.floats(0.05, 0.95)))
+    return dict(C=cost_from_metric(GroundSpace(points), p=p).matrix, r=r / r.sum(),
+                s=s / s.sum(), p=p, delta=delta, lam=draw(st.floats(0.1, 1.0)),
+                n=draw(st.integers(2, 30)), count=draw(st.integers(1, 8)),
+                seed=draw(st.integers(0, 2 ** 16)),
+                atom=(draw(st.integers(0, N - 1)), draw(st.integers(0, N - 1))))
+
+
+def singular_solution(C, lam, p):
+    """An anti-diagonal plan on points 0 and 1, whose reduced Gram is singular."""
+    half = Prob([0.5, 0.5])
+    plan = TransportPlan(entries=np.array([0.0, 0.5, 0.5, 0.0]), r=half, s=half, lam=lam,
+                         reg=rg.entropy(), p=p, iterations=0, residual=0.0)
+    return sv.ReducedSolution(plan=plan, cost=C[:2, :2], row_support=np.arange(2),
+                              col_support=np.arange(2), n_rows_full=len(C),
+                              n_cols_full=len(C))
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (ConvergenceError, NumericalError) as err:
+        return err
+
+
+@given(case=studentized_loops())
+def test_stacked_variances_match_the_one_plan_path(case):
+    C, r, s, p, lam, n, delta = (case[k] for k in ("C", "r", "s", "p", "lam", "n", "delta"))
+    mode = "one_sample" if delta is None else "two_sample"
+    try:
+        base = solve_reduced(C, r, s, lam, p=p)
+    except ConvergenceError:
+        reject()
+    R = np.empty((case["count"], r.size))
+    S = np.empty((case["count"], s.size))
+    for k in range(case["count"]):
+        rng = rng_for(case["seed"], k)
+        R[k] = rng.multinomial(n, r) / n
+        S[k] = rng.multinomial(n, s) / n if delta is not None else s
+    sols = [sol for sol in sv.solve_replicates(C, R, S, lam, p, base.potentials)
+            if not isinstance(sol, Exception)]
+    # one atom on each side leaves a variance of exactly zero (or, at p = 2 on
+    # one point, a fractional root at zero cost); the last plan's Gram is singular
+    i, j = case["atom"]
+    sols += [solve_reduced(C, np.eye(len(C))[i], np.eye(len(C))[j], lam, p=p),
+             singular_solution(C, lam, p)]
+    rate = np.sqrt(n / 2.0) if delta is not None else np.sqrt(n)
+    w0 = base.divergence()
+    values = _divergence_statistic(C, w0, rate, mode, delta)(sols)
+    assert len(values) == len(sols)
+    for k, (sigma2, value, sol) in enumerate(zip(_sigma2_stack(C, sols, mode, delta),
+                                                 values, sols)):
+        want = outcome(lambda: _sigma2_at(sol, mode, delta))
+        assert np.isnan(sigma2) == isinstance(want, Exception)
+        if isinstance(want, Exception):
+            assert (type(value), str(value)) == (type(want), str(want))
+            continue
+        # both paths round the quadratic form's terms, of the size of the
+        # squared gradient; where they cancel, that rounding is all that is left
+        floor = 1e-14 * np.abs(sens.divergence_gradient(sol.cost.ravel(), sol.plan, p)).max() ** 2
+        assert abs(sigma2 - want) <= 1e-12 * want + floor
+        if want <= floor and k != len(sols) - 2:
+            continue  # a variance made of rounding alone: either path may call it vanishing
+        want_value = outcome(lambda: _studentized(rate * (sol.divergence() - w0), want))
+        if isinstance(want_value, Exception):
+            assert (type(value), str(value)) == (type(want_value), str(want_value))
+        else:
+            slack = floor / want if want > 0.0 else 0.0
+            assert abs(value - want_value) <= abs(want_value) * (1e-12 + slack)
+    assert isinstance(values[-1], NumericalError) and "singular" in str(values[-1])
