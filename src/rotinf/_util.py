@@ -1,6 +1,8 @@
-"""Seed derivation and read-only array helpers."""
+"""Seed derivation, read-only array and count-check helpers."""
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -21,3 +23,10 @@ def readonly_array(values, dtype=float):
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def positive_int(name: str, value) -> int:
+    """An integer parameter of at least 1, refused with its name otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)

@@ -30,7 +30,7 @@ from . import regularizers as rg
 from . import sensitivity as sens
 from . import solver as sv
 from .exceptions import ConvergenceError, DomainError, NumericalError, ReductionRequiredError
-from .space import (CostVector, Prob, build_grid_space, cost_from_metric,
+from .space import (CostVector, Prob, build_grid_space, check_power, cost_from_metric,
                     cost_quantile, empirical_distribution)
 
 EXIT_USAGE = 2
@@ -113,6 +113,7 @@ def _load_cost(cost, grid, extent, metric, p):
         entries = M.ravel()
         if M.shape[0] != M.shape[1]:
             raise click.UsageError("cost CSV must be a square matrix")
+        check_power(p)
         c_max = float(entries.max()) ** (1.0 / p) if entries.size else 0.0
         return CostVector(entries=entries, p=p, c_max=c_max)
     space = build_grid_space(grid, extent)

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from . import regularizers as rg
 from . import sensitivity as sens
 from . import solver as sv
 from ._util import child_seed, readonly_array, rng_for
 from .inference import _replicates
-from .space import METRICS, CostVector, GroundSpace, Prob
+from .space import METRICS, CostVector, GroundSpace, Prob, check_power
 
 DEFAULT_BAND_DRAWS = 2000
 
@@ -312,8 +311,8 @@ def _bootstrap_band_core(C_red, r_red, s_red, lam, p, B, alpha, seed, n,
         raise ValueError("need at least 50 bootstrap replicates")
     thresholds, groups = _cost_groups(C_red)
     groups = groups.reshape(C_red.shape)
-    P, f, g, _, _ = sv.sinkhorn_matrix(C_red, r_red, s_red, lam, tol=tol, max_iter=max_iter)
-    base_vals = _group_curve(groups.ravel(), P.ravel(), thresholds.size)
+    base = sv.solve_reduced(C_red, r_red, s_red, lam, p=p, tol=tol, max_iter=max_iter)
+    base_vals = _group_curve(groups.ravel(), base.plan.entries, thresholds.size)
 
     def replicate_curves(sols):
         # each replicate's support is a sub-block of C_red, so it reuses the groups
@@ -322,8 +321,8 @@ def _bootstrap_band_core(C_red, r_red, s_red, lam, p, B, alpha, seed, n,
 
     # failed replicates keep their slot as NaN rows so that index pairing
     # across settings stays aligned
-    rep = _replicates(C_red, r_red, s_red, n, lam, p, (f, g), replicate_curves, int(B), seed,
-                      resample_s=True, tol=tol, max_iter=max_iter,
+    rep = _replicates(C_red, r_red, s_red, n, lam, p, base.potentials, replicate_curves,
+                      int(B), seed, resample_s=True, tol=tol, max_iter=max_iter,
                       max_failure_rate=max_failure_rate)
     valid = ~np.isnan(rep[:, 0])
     failures = int(B - valid.sum())
@@ -461,6 +460,7 @@ def rcol_pipeline(img_a: IntensityImage, img_b: IntensityImage, n: int,
         raise ValueError("band must be bootstrap, gaussian, or none")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    check_power(p)
 
     space, ra = image_to_distribution(img_a)
     _, rb = image_to_distribution(img_b)
@@ -486,13 +486,7 @@ def rcol_pipeline(img_a: IntensityImage, img_b: IntensityImage, n: int,
                             support_sizes=(rows.size, cols.size),
                             replicates=bb.replicates)
 
-    P, _, _, it, res = sv.sinkhorn_matrix(C_red, r_red, s_red, lam, tol=tol,
-                                          max_iter=max_iter)
-    plan = sv.TransportPlan(entries=P.ravel(),
-                            r=Prob.from_weights(r_red, normalize=True, n=int(n)),
-                            s=Prob.from_weights(s_red, normalize=True, n=int(n)),
-                            lam=lam, reg=rg.entropy(), p=p,
-                            iterations=it, residual=res)
+    plan = sv.solve_reduced(C_red, r_red, s_red, lam, p=p, tol=tol, max_iter=max_iter).plan
     if band == "none":
         curve = rcol(plan, C_red.ravel())
         return RColAnalysis(curve=curve, lam=lam, n=int(n), band=band,

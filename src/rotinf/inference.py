@@ -18,7 +18,7 @@ from scipy import stats
 
 from . import sensitivity as sens
 from . import solver as sv
-from ._util import child_seed, rng_for
+from ._util import child_seed, positive_int, rng_for
 from .exceptions import ConvergenceError, NumericalError
 from .space import CostVector, Prob, build_grid_space, cost_from_metric, cost_quantile
 
@@ -62,8 +62,11 @@ def _sigma2_at(sol: sv.ReducedSolution, mode: str, delta: float | None = None) -
     return action.quad_form(gamma)
 
 
-def _studentized(raw: float, sigma2: float) -> float:
-    if sigma2 > 1e-300:
+def _studentized(raw: float, sigma2: float, gamma) -> float:
+    """raw / sqrt(sigma2), where a variance no larger than the rounding of its
+    quadratic form, 1e-14 max|gamma|^2 with gamma the divergence gradient,
+    vanishes."""
+    if sigma2 > 1e-14 * np.abs(gamma).max() ** 2:
         return raw / np.sqrt(sigma2)
     if abs(raw) < 1e-12:
         return 0.0
@@ -99,7 +102,8 @@ def _divergence_statistic(C, w0: float, rate: float, mode: str | None = None,
             try:
                 if np.isnan(sigma2):
                     sigma2 = _sigma2_at(sol, mode, delta)
-                out.append(_studentized(x, sigma2))
+                gamma = sens.divergence_gradient(sol.cost.ravel(), sol.plan, p=sol.plan.p)
+                out.append(_studentized(x, sigma2, gamma))
             except (ConvergenceError, NumericalError) as err:
                 out.append(err)
         return out
@@ -150,13 +154,6 @@ def _replicates(C, r, s, n, lam, p, warm, statistic, count, seed, *, resample_s=
     return values
 
 
-def _count(name: str, value) -> int:
-    """An integer parameter of at least 1, refused with its name otherwise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-    return int(value)
-
-
 def sinkhorn_statistic(r: Prob, s: Prob, c: CostVector, lam: float, n: int,
                        replicates: int, seed: int, p: float | None = None,
                        studentize: bool = True, tol: float = sv.DEFAULT_TOL,
@@ -169,7 +166,7 @@ def sinkhorn_statistic(r: Prob, s: Prob, c: CostVector, lam: float, n: int,
     deviation at (r_hat | s) when requested. A failed replicate raises its
     error with the replicate index attached.
     """
-    n, replicates = _count("n", n), _count("replicates", replicates)
+    n, replicates = positive_int("n", n), positive_int("replicates", replicates)
     p = c.p if p is None else p
     base = sv.solve_reduced(c.matrix, r.weights, s.weights, lam, p=p, tol=tol,
                             max_iter=max_iter)
@@ -190,13 +187,13 @@ def bootstrap_statistic(r_hat: Prob, s: Prob, c: CostVector, lam: float, B: int,
     r_hat and records sqrt(n) * (W(r*_n, s) - W(r_hat, s)) for each of the B
     replicates.
     """
-    if _count("B", B) < 2:
+    if positive_int("B", B) < 2:
         raise ValueError("need at least two bootstrap replicates")
     if n is None:
         n = r_hat.n
     if n is None:
         raise ValueError("r_hat carries no sample size; pass n explicitly")
-    n = _count("n", n)
+    n = positive_int("n", n)
     p = c.p if p is None else p
     base = sv.solve_reduced(c.matrix, r_hat.weights, s.weights, lam, p=p, tol=tol,
                             max_iter=max_iter)
@@ -300,17 +297,20 @@ class MCConfig:
                                 f"got {type(value).__name__} {value!r}")
         object.__setattr__(self, "lambda0", tuple(float(x) for x in np.atleast_1d(self.lambda0)))
         object.__setattr__(self, "n", tuple(int(x) for x in np.atleast_1d(self.n)))
-        if self.mode not in MC_MODES:
-            raise ValueError(f"mode must be one of {MC_MODES}")
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
-        if not self.n or min(self.n) < 1:
-            raise ValueError(f"MCConfig key 'n' must hold sample sizes of at least 1, "
-                             f"got {list(self.n)}")
-        if not 0.0 <= self.max_failure_rate <= 1.0:  # also refuses NaN
-            raise ValueError("max_failure_rate must lie in [0, 1]")
-        if any(l0 <= 0 for l0 in self.lambda0):
-            raise ValueError("lambda0 values must be positive")
+        least_n = 2 if self.lambda_of_n else 1  # log(sqrt(n)) must be positive
+        for key, bad, need in (
+                ("mode", self.mode not in MC_MODES, f"be one of {MC_MODES}"),
+                ("replicates", self.replicates < 1, "be at least 1"),
+                ("n", not self.n or min(self.n) < least_n,
+                 f"hold sample sizes of at least {least_n}"),
+                ("max_failure_rate", not 0.0 <= self.max_failure_rate <= 1.0, "lie in [0, 1]"),
+                ("lambda0", any(l0 <= 0 for l0 in self.lambda0), "be positive"),
+                ("tol", not 0.0 < self.tol < np.inf, "be finite and positive"),
+                ("max_iter", self.max_iter < 1, "be at least 1"),
+                ("kappa", self.lambda_of_n and not 0.0 < self.kappa < np.inf,
+                 "be finite and positive with lambda_of_n")):
+            if bad:
+                raise ValueError(f"MCConfig key '{key}' must {need}, got {getattr(self, key)!r}")
         if self.compare_ot_limit and (self.studentize or self.p != 1.0):
             raise ValueError("the transport limit comparison needs studentize=False and p=1")
 

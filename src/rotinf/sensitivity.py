@@ -7,14 +7,16 @@ The regularized plan, viewed as a function of the reduced marginal vector
 
 where H is the (diagonal) penalty Hessian at the solved plan and A the
 reduced marginal operator. The bracketed Gram matrix is inverted through the
-solver's ``GramFactor``, the row-block Schur complement that ``newton_matrix``
-factors too. Every covariance here is a congruence of the multinomial
-covariance through blocks of this gradient; the covariance of the plan itself
-is exposed both as a dense matrix (small instances) and as a matrix action
-that samples and multiplies without materializing anything of size N^2 x N^2.
+solver's ``GramFactor``, the one Cholesky factor of its row-block Schur
+complement, which ``newton_matrix`` and the entropy Newton solve with too.
+Every covariance here is a congruence of the multinomial covariance through
+blocks of this gradient; the covariance of the plan itself is exposed both as
+a dense matrix (small instances) and as a matrix action that samples and
+multiplies without materializing anything of size N^2 x N^2. These factor one
+plan, a stack of one, which fails only where the factor does not exist.
 ``divergence_variances`` evaluates the divergence variance of a whole stack
-of plans, the replicates of a resampling loop, through one ``GramStack``, the
-stacked Schur form that the entropy Newton of a replicate batch solves with.
+of plans, the replicates of a resampling loop, through one stacked
+``GramFactor``, which leaves out the plans whose pivots fall below its floor.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from . import regularizers as rg
 from ._util import readonly_array
 from .exceptions import NumericalError
-from .solver import GramFactor, GramStack, TransportPlan
+from .solver import GramFactor, TransportPlan
 from .space import ConstraintOperator, CostVector, Prob
 
 # Largest plan dimension for which N^2 x N^2 covariances are materialized
@@ -61,11 +63,6 @@ class SensitivityResult:
 
     def __post_init__(self):
         object.__setattr__(self, "grad_phi", readonly_array(self.grad_phi))
-
-    @property
-    def grad_phi_r(self) -> np.ndarray:
-        """Columns differentiating with respect to the first marginal."""
-        return self.grad_phi[:, : self.n_rows]
 
 
 def _plan_weights(reg: rg.Regularizer, plan: TransportPlan) -> np.ndarray:
@@ -142,17 +139,13 @@ class PlanCovarianceAction:
         return self._factor.solve(t)
 
     def _b_apply(self, t) -> np.ndarray:
-        n1 = self.n_rows
+        n1, tr = self.n_rows, t[:self.n_rows]
         out = np.zeros_like(t)
-        if self.mode == "one_sample":
-            tr = t[:n1]
-            out[:n1] = self._r * tr - self._r * np.sum(self._r * tr)
-            return out
-        tr = t[:n1]
-        ts = t[n1:]
-        s_star = self._s[:-1]
-        out[:n1] = self.delta * (self._r * tr - self._r * np.sum(self._r * tr))
-        out[n1:] = (1.0 - self.delta) * (s_star * ts - s_star * np.sum(s_star * ts))
+        out[:n1] = self._r * tr - self._r * np.sum(self._r * tr)
+        if self.mode == "two_sample":
+            ts, s_star = t[n1:], self._s[:-1]
+            out[:n1] *= self.delta
+            out[n1:] = (1.0 - self.delta) * (s_star * ts - s_star * np.sum(s_star * ts))
         return out
 
     def matvec(self, v) -> np.ndarray:
@@ -284,23 +277,22 @@ def divergence_variances(C, P, R, S, p: float, mode: str = "one_sample",
     support, and R (B, n1), S (B, n2) their marginals, zero off it likewise.
     Slice b gets what ``divergence_variance`` gives at its plan restricted to
     its support, up to rounding: x = M^{-1} A_red (pi * gamma) through one
-    ``GramStack`` and the multinomial quadratic form of its blocks. A slice
-    that the stack does not factor (see ``GramStack.factored``), that has a
-    support column of no mass or that sits at zero transport cost under a
-    fractional root gets NaN, for the caller to evaluate on its own, through
-    ``GramFactor``, and meet any error there.
+    stacked ``GramFactor`` and the multinomial quadratic form of its blocks. A
+    slice that the stack does not factor (see ``GramFactor.factored``) or that
+    sits at zero transport cost under a fractional root gets NaN, for the
+    caller to evaluate on its own, through a stack of one, and meet any error
+    there.
     """
     _check_mode(mode, delta)
-    free = GramStack.free_columns(S)
-    rsum, csum = P.sum(axis=2), P.sum(axis=1)
+    free = GramFactor.free_columns(S)
     cost = (C * P).sum(axis=(1, 2))
-    stackable = (free <= (csum > 0)).all(axis=1) & ((cost > 0) | (p == 1.0))
-    P, R, S, free, rsum, csum, cost = (a[stackable] for a in (P, R, S, free, rsum, csum, cost))
+    stackable = (cost > 0) | (p == 1.0)
+    P, R, S, free, cost = (a[stackable] for a in (P, R, S, free, cost))
     weighted = P * C  # pi * gamma, with gamma = C at p = 1
     if p != 1.0:
         weighted *= ((1.0 / p) * cost ** (1.0 / p - 1.0))[:, None, None]
-    gram = GramStack(P, free, R <= 0, rsum, csum)
-    x, y = gram.solve(weighted.sum(axis=2), np.where(free, weighted.sum(axis=1), 0.0))
+    gram = GramFactor(P, free, R <= 0)
+    x, y = gram.solve_blocks(weighted.sum(axis=2), np.where(free, weighted.sum(axis=1), 0.0))
     sigma2 = _multinomial_quad(R, x)
     if mode == "two_sample":
         sigma2 = delta * sigma2 + (1.0 - delta) * _multinomial_quad(S * free, y)

@@ -8,7 +8,10 @@ small regularization makes it do, is handed once to a warm entropy Newton
 (Brauer, Clason, Lorenz & Wirth 2017) and resumes Sinkhorn after one column
 update, or where it stalled when Newton fails. ``solve_replicates`` runs the
 warm Sinkhorn solves of a resampling loop together over one shared kernel,
-and its stalled replicates through one stacked Newton.
+and its stalled replicates through one stacked Newton. ``solve_reduced`` is
+the entry point the rest of the package solves through. Every Newton step,
+plan gradient and variance solves with the reduced marginal Gram matrix
+through one Cholesky factor, ``GramFactor``, of one plan or of a stack.
 
 The exact baseline solves the unregularized linear program on tiny instances
 with the dual simplex and reads every optimal dual vertex off the basic plan
@@ -26,7 +29,7 @@ from scipy import linalg
 from scipy.optimize import linprog
 
 from . import regularizers as rg
-from ._util import readonly_array, rng_for
+from ._util import positive_int, readonly_array, rng_for
 from .exceptions import ConvergenceError, NumericalError, ReductionRequiredError
 from .space import SIMPLEX_ATOL, ConstraintOperator, CostVector, Prob
 
@@ -102,22 +105,24 @@ def _logsumexp(T, axis):
     return out
 
 
-def _check_setting(C, lam, tol):
-    """Refuse a bad regularization strength, tolerance or cost before any iteration."""
+def _check_setting(C, lam, tol, max_iter):
+    """Refuse a bad regularization strength, tolerance, iteration budget or cost
+    before any iteration."""
+    positive_int("max_iter", max_iter)
     if not 0.0 < lam < np.inf:
         raise ValueError("regularization strength must be finite and positive")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tolerance must be finite and positive")
     if not np.isfinite(C).all():
         raise ValueError("cost matrix must be finite")
 
 
-def _check_problem(C, r, s, lam, tol):
+def _check_problem(C, r, s, lam, tol, max_iter):
     """Validate a raw problem for the solvers and return it as float arrays."""
     C = np.asarray(C, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
-    _check_setting(C, lam, tol)
+    _check_setting(C, lam, tol, max_iter)
     if not (np.isfinite(r).all() and np.isfinite(s).all()):
         raise ValueError("marginals must be finite")
     if (r <= 0).any() or (s <= 0).any():
@@ -150,14 +155,9 @@ def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None, resume=None):
     n1, n2 = C.shape
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
-    if f is None:
-        f = np.zeros(n1)
-        g = np.zeros(n2) if g is None else np.array(g, dtype=float)
-        cold = True
-    else:
-        f = np.array(f, dtype=float)
-        g = np.zeros(n2) if g is None else np.array(g, dtype=float)
-        cold = False
+    cold = f is None
+    f = np.zeros(n1) if cold else np.array(f, dtype=float)
+    g = np.zeros(n2) if g is None else np.array(g, dtype=float)
     logr = np.log(r)
     logs = np.log(s)
     u = np.ones(n1)
@@ -263,7 +263,7 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, in
         Newton hand-off; Newton steps count against ``max_iter``.
     residual : float
     """
-    C, r, s = _check_problem(C, r, s, lam, tol)
+    C, r, s = _check_problem(C, r, s, lam, tol, max_iter)
     n1, n2 = C.shape
     if n1 == 1 or n2 == 1:
         # a single row or column leaves no freedom; the product plan is exact
@@ -302,74 +302,72 @@ def _sinkhorn_failure(tol, max_iter, res, it):
 def sinkhorn_entropy(c: CostVector, r: Prob, s: Prob, lam: float,
                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                      init=None) -> TransportPlan:
-    """Entropy-regularized transport plan between r and s.
+    """Entropy-regularized transport plan between r and s, through ``solve_reduced``.
 
     Raises ``ReductionRequiredError`` when a marginal has zero entries and
     ``ConvergenceError`` when the marginal residual does not reach ``tol``
     within ``max_iter`` iterations.
     """
-    P, _, _, it, res = sinkhorn_matrix(c.matrix, r.weights, s.weights, lam,
-                                       tol=tol, max_iter=max_iter, init=init)
-    return TransportPlan(entries=P.ravel(), r=r, s=s, lam=float(lam),
-                         reg=rg.entropy(), p=c.p, iterations=it, residual=res)
+    if (r.weights <= 0).any() or (s.weights <= 0).any():
+        raise ReductionRequiredError("marginals must be strictly positive; reduce the support first")
+    return solve_reduced(c, r.weights, s.weights, lam, tol=tol, max_iter=max_iter,
+                         init=init).plan
 
 
 class GramFactor:
-    """Factor of the reduced marginal Gram matrix M = A_red diag(W) A_red^T.
+    """Cholesky factor of the reduced marginal Gram matrix M = A_red diag(W) A_red^T.
 
-    ``W`` holds the (n_rows, n_cols) inverse Hessian weights: the plan for
+    ``W`` holds (n_rows, n_cols) inverse Hessian weights: the plan for
     entropy, 1/f'' otherwise. M = [diag(row sums), V; V^T, diag(c)] with V
-    the weights less their last column and c its column sums; the Schur
-    complement K = diag(row sums) - V diag(1/c) V^T is factored once.
+    the weights of the free columns and c their column sums; the Schur
+    complement diag(row sums) - V diag(1/c) V^T is factored once, slice by
+    slice, by LAPACK's potrf, and every solve runs potrs on that factor.
+
+    A 2-D ``W`` is a stack of one on its full support (every column but the
+    last is free), solved in the reduced layout by ``solve``. It raises
+    ``ReductionRequiredError`` on a free column of no mass and
+    ``NumericalError`` when the factor does not exist. A stack (B, n1, n2)
+    holds slices zero off their own support: a row off it (``off_row``) gets
+    an identity block, and a column off it, like the slice's last support
+    column, whose potential is pinned, is not ``free`` (``free_columns``).
+    ``factored`` marks the slices with no free column of no mass and every
+    pivot above _PIVOT_FLOOR times their largest row mass; below it, rounding
+    alone decides the direction (as when a plan's kernel has underflowed
+    between two blocks). ``solve_blocks`` serves those.
     """
 
-    def __init__(self, W):
-        self.weights = np.asarray(W, dtype=float)
-        self.n_rows, self.n_cols = self.weights.shape
-        self._v = self.weights[:, :-1]
-        self._c = self._v.sum(axis=0)
-        if (self._c <= 0).any():
+    def __init__(self, W, free=None, off_row=None):
+        W = np.asarray(W, dtype=float)
+        single = W.ndim == 2
+        if single:
+            W = W[None]
+            free = np.arange(W.shape[2])[None] < W.shape[2] - 1
+            off_row = 0.0
+        self.weights = W
+        B, self.n_rows, self.n_cols = W.shape
+        rsum, csum = W.sum(axis=2), W.sum(axis=1)
+        empty = free & (csum <= 0)
+        if single and empty.any():
             raise ReductionRequiredError("column marginal has zero entries; reduce the support first")
-        self._vc = self._v / self._c
-        K = np.diag(self.weights.sum(axis=1)) - self._v @ self._vc.T
-        try:
-            self._chol, self._lower = linalg.cho_factor(K)
-        except np.linalg.LinAlgError as err:
-            raise NumericalError(f"reduced marginal system is numerically singular: {err}") from err
-
-    def solve(self, B) -> np.ndarray:
-        """M^{-1} B for a vector or a matrix B with n_rows + n_cols - 1 rows."""
-        B = np.asarray_chkfinite(B, dtype=float)
-        top, bottom = B[: self.n_rows], B[self.n_rows :]
-        # potrs itself: at replicate sizes cho_solve's wrapper costs more than the solve
-        x_top = linalg.lapack.dpotrs(self._chol, top - self._vc @ bottom, lower=self._lower)[0]
-        c = self._c if B.ndim == 1 else self._c[:, None]
-        return np.concatenate([x_top, (bottom - self._v.T @ x_top) / c])
-
-
-class GramStack:
-    """GramFactor's Schur complement for a stack of weights W (B, n1, n2), each
-    slice zero off its own support.
-
-    Every system keeps the union shape: a row off a slice's support
-    (``off_row``) gets an identity block, and a column off it, like the
-    slice's last support column, whose potential is pinned, is not ``free``
-    (see ``free_columns``) and is zeroed. ``rsum`` and ``csum`` are the row
-    and column sums of W. ``factored`` marks the slices whose Schur
-    complement has a Cholesky factor with every pivot above _PIVOT_FLOOR
-    times the slice's largest row mass; ``solve`` serves those. The entropy
-    Newton (``_newton_stack``) and the plug-in variances of a resampling loop
-    (``sensitivity.divergence_variances``) solve through it.
-    """
-
-    def __init__(self, W, free, off_row, rsum, csum):
-        n1 = W.shape[1]
-        self._v = W * free[:, None, :]
-        self._c = np.where(free, csum, 1.0)
-        self._vc = self._v / self._c[:, None, :]
-        self._schur = -(self._vc @ self._v.transpose(0, 2, 1))
-        self._schur[:, np.arange(n1), np.arange(n1)] += rsum + off_row
-        self.factored = _positive_definite(self._schur, rsum.max(axis=1))
+        self._free = free
+        self._c = np.where(free & ~empty, csum, 1.0)
+        self._vc = W / self._c[:, None, :]
+        self._vc *= free[:, None, :]
+        schur = -(self._vc @ W.transpose(0, 2, 1))
+        schur.reshape(B, -1)[:, :: self.n_rows + 1] += rsum + off_row  # the diagonals
+        # potrf factors each slice in place: its transpose, Fortran-ordered, becomes
+        # the upper factor U with U^T U = the slice, which potrs takes uncopied
+        self._chol = schur
+        info = [linalg.lapack.dpotrf(g.T, clean=False, overwrite_a=True)[1] for g in schur]
+        if single:
+            if info[0]:
+                raise NumericalError("reduced marginal system is numerically singular: leading "
+                                     f"minor {info[0]} of its Schur complement is not positive")
+            self.factored = np.ones(1, dtype=bool)
+            return
+        pivots = np.diagonal(schur, axis1=1, axis2=2).min(axis=1) ** 2
+        self.factored = ((np.array(info) == 0) & (pivots > _PIVOT_FLOOR * rsum.max(axis=1))
+                         & ~empty.any(axis=1))
 
     @staticmethod
     def free_columns(S):
@@ -378,14 +376,30 @@ class GramStack:
         free[np.arange(len(S)), S.shape[1] - 1 - np.argmax(free[:, ::-1], axis=1)] = False
         return free
 
-    def solve(self, top, bottom):
-        """Both blocks (x, y) of M^{-1} [top; bottom] for stacked vectors of length
-        n1 and n2, with x zero on the slices that did not factor."""
-        rhs = top - (self._vc @ bottom[:, :, None])[:, :, 0]
-        x = np.zeros_like(top)
-        ok = self.factored
-        x[ok] = np.linalg.solve(self._schur[ok], rhs[ok, :, None])[:, :, 0]
-        return x, (bottom - (self._v.transpose(0, 2, 1) @ x[:, :, None])[:, :, 0]) / self._c
+    def solve_blocks(self, top, bottom):
+        """Both blocks (x, y) of M^{-1} [top; bottom] slice by slice, for top (B, n1)
+        and bottom (B, n2), or with a trailing axis of right-hand sides; x is zero
+        on the slices not factored."""
+        vector = top.ndim == 2
+        if vector:
+            top, bottom = top[..., None], bottom[..., None]
+        rhs = top - self._vc @ bottom
+        x = np.zeros_like(rhs)
+        for b in np.flatnonzero(self.factored):
+            x[b] = linalg.lapack.dpotrs(self._chol[b].T, rhs[b], lower=False)[0]
+        y = ((bottom - (self.weights.transpose(0, 2, 1) @ x) * self._free[..., None])
+             / self._c[..., None])
+        return (x[..., 0], y[..., 0]) if vector else (x, y)
+
+    def solve(self, B) -> np.ndarray:
+        """M^{-1} B, stack of one, for a vector or a matrix B of n_rows + n_cols - 1 rows:
+        the reduced layout, whose last column is dropped."""
+        B = np.asarray_chkfinite(B, dtype=float)
+        top, bottom = B[: self.n_rows], B[self.n_rows :]
+        x = linalg.lapack.dpotrs(self._chol[0].T, top - self._vc[0, :, :-1] @ bottom,
+                                 lower=False)[0]
+        c = self._c[0, :-1] if B.ndim == 1 else self._c[0, :-1, None]
+        return np.concatenate([x, (bottom - self.weights[0, :, :-1].T @ x) / c])
 
 
 def _reduced_gram(W):
@@ -407,7 +421,7 @@ def _newton_stack(K, U, V, R, S, lam, tol, steps):
 
     Row b of ``U`` (B, n1) and ``V`` (B, n2) holds Sinkhorn scalings, zero off
     the support of its marginals R[b] and S[b]. Each step solves the row-block
-    Schur systems of every row at once through one ``GramStack`` and
+    Schur systems of every row at once through one ``GramFactor`` and
     backtracks row by row to an Armijo increase of the dual.
     A row succeeds once the plan after a column update v = s / (K^T u) meets
     ``tol`` on the row residual, and fails when its Gram is not positive
@@ -427,7 +441,7 @@ def _newton_chunk(K, U, V, R, S, lam, tol, steps):
     B = len(U)
     U_out, V_out = U.copy(), V.copy()
     taken = np.zeros(B, dtype=int)
-    free = GramStack.free_columns(S)
+    free = GramFactor.free_columns(S)
     idx = np.arange(B)  # rows still iterating, and their state:
     u, v, r, s, off_row = U, V, R, S, R <= 0
     with np.errstate(all="ignore"):  # overflowing or vanishing trial steps are refused
@@ -446,10 +460,10 @@ def _newton_chunk(K, U, V, R, S, lam, tol, steps):
                 break
             taken[idx] += 1
             fr = free[idx]
-            gram = GramStack(P, fr, off_row, rsum, csum)
+            gram = GramFactor(P, fr, off_row)
             pd = gram.factored
             F_row, F_col = rsum - r, np.where(fr, csum - s, 0.0)
-            x, z = gram.solve(-F_row, -F_col)
+            x, z = gram.solve_blocks(-F_row, -F_col)
             # the dual <a, r> + <b, s> - lam * sum(P) in the log scalings a, b
             linear = (np.where(off_row, 0.0, r * np.log(u)).sum(axis=1)
                       + np.where(s > 0, s * np.log(v), 0.0).sum(axis=1))
@@ -477,23 +491,6 @@ def _newton_chunk(K, U, V, R, S, lam, tol, steps):
     return U_out, V_out, taken
 
 
-def _positive_definite(G, scale):
-    """Which matrices of the stack G have a Cholesky factor whose pivots all exceed
-    _PIVOT_FLOOR times their ``scale``; below it, rounding alone decides the
-    direction (as when a plan's kernel has underflowed between two blocks)."""
-    def ok(g, scale):
-        try:
-            pivots = np.diagonal(np.linalg.cholesky(g), axis1=-2, axis2=-1) ** 2
-        except np.linalg.LinAlgError:
-            return False
-        return pivots.min(axis=-1) > _PIVOT_FLOOR * scale
-
-    pd = ok(G, scale)
-    if pd is False:  # some factor failed: find which
-        pd = np.array([ok(g, c) for g, c in zip(G, scale)], dtype=bool)
-    return pd
-
-
 def newton_matrix(reg: rg.Regularizer, C, r, s, lam, tol=DEFAULT_TOL, max_iter=200):
     """Damped Newton iteration on the reduced dual system, raw arrays.
 
@@ -505,7 +502,7 @@ def newton_matrix(reg: rg.Regularizer, C, r, s, lam, tol=DEFAULT_TOL, max_iter=2
 
     Returns (pi_flat, mu, iterations, residual).
     """
-    C, r, s = _check_problem(C, r, s, lam, tol)
+    C, r, s = _check_problem(C, r, s, lam, tol, max_iter)
     n1, n2 = C.shape
     c = C.ravel()
     if reg.kind == "lp_quasi":
@@ -800,7 +797,7 @@ def solve_replicates(C, R, S, lam, p, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MA
     C = np.asarray(C, dtype=float)
     R = np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=float)
-    _check_setting(C, lam, tol)
+    _check_setting(C, lam, tol, max_iter)
     _check_weights(C, R, S)
     f0, g0 = (np.asarray(x, dtype=float) for x in init)
     supports = [_support(rw, sw) for rw, sw in zip(R, S)]

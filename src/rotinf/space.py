@@ -58,6 +58,12 @@ def build_grid_space(L: int, extent: float = 1.0) -> GroundSpace:
     return GroundSpace(np.column_stack([xs.ravel(), ys.ravel()]))
 
 
+def check_power(p):
+    """Refuse a cost power that is not finite and at least 1."""
+    if not 1.0 <= p < np.inf:  # also refuses NaN
+        raise ValueError(f"cost power p must be finite and at least 1, got {p!r}")
+
+
 @dataclass(frozen=True)
 class CostVector:
     """Row-major vector of pairwise transport costs d(x_i, x_j)**p.
@@ -70,6 +76,7 @@ class CostVector:
     c_max: float
 
     def __post_init__(self):
+        check_power(self.p)
         e = np.asarray(self.entries, dtype=float).ravel()
         n = math.isqrt(e.size)
         if n * n != e.size:
@@ -103,8 +110,7 @@ def cost_from_metric(space: GroundSpace, p: float = 1.0, metric="euclidean") -> 
         distance table of shape (N, N) (or flat of length N*N). Custom
         tables are not required to be symmetric or zero on the diagonal.
     """
-    if p < 1:
-        raise ValueError("cost power p must be at least 1")
+    check_power(p)  # before d ** p, which a negative p turns into a division by zero
     n = space.n_points
     if isinstance(metric, str):
         if metric not in METRICS:

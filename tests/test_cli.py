@@ -346,7 +346,8 @@ def test_marginal_size_mismatch_exits_2(runner, tmp_path, command, grid, r_size,
 @pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--lambda", "inf"],
                                    ["--lambda", "1", "--tol", "nan"],
                                    ["--lambda", "nan", "--reg", "burg"],
-                                   ["--lambda", "inf", "--reg", "burg"]])
+                                   ["--lambda", "inf", "--reg", "burg"],
+                                   ["--lambda", "1", "--tol", "inf"]])
 def test_nonfinite_lambda_or_tol_exits_2(runner, tmp_path, flags):
     paths = write_fixture(tmp_path)
     result = runner.invoke(main, ["solve", "--cost", paths["cost"], "--r", paths["r"],
@@ -474,3 +475,58 @@ def test_mc_sample_size_below_one_exits_2(runner, tmp_path, n):
     assert result.exit_code == 2, result.output
     assert "MCConfig key 'n'" in result.output
     assert caught == []
+
+
+@pytest.mark.parametrize("key, value", [("max_iter", 0), ("max_iter", -5), ("tol", 0.0),
+                                        ("tol", -1e-9), ("tol", float("inf")),
+                                        ("tol", float("nan"))])
+def test_mc_bad_solver_setting_exits_2(runner, tmp_path, key, value):
+    cfg = {"L": 2, "lambda0": [2.0], "n": [10], "replicates": 5, "seed": 3, key: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    result = runner.invoke(main, ["mc", "--config", str(cfg_path),
+                                  "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"MCConfig key '{key}'" in result.output
+
+
+@pytest.mark.parametrize("key, value", [("n", [1]), ("n", [10, 1]), ("kappa", 0.0),
+                                        ("kappa", -1.0)])
+def test_mc_lambda_of_n_needs_two_points_and_positive_kappa(runner, tmp_path, key, value):
+    cfg = {"L": 2, "lambda0": [2.0], "n": [10], "replicates": 5, "seed": 3,
+           "lambda_of_n": True, key: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["mc", "--config", str(cfg_path),
+                                      "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"MCConfig key '{key}'" in result.output
+    assert caught == []
+
+
+@pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--max-iter", "-2"],
+                                   ["--p", "-1"], ["--p", "0"], ["--p", "0.5"],
+                                   ["--p", "inf"], ["--p", "nan"],
+                                   ["--grid", "2", "--p", "0.5"], ["--grid", "2", "--p", "-1"]])
+def test_solve_bad_iteration_budget_or_cost_power_exits_2(runner, tmp_path, flags):
+    paths = write_fixture(tmp_path)
+    np.savetxt(tmp_path / "q.csv", np.full(4, 0.25), delimiter=",")
+    problem = (["--r", str(tmp_path / "q.csv"), "--s", str(tmp_path / "q.csv")]
+               if "--grid" in flags else ["--cost", paths["cost"], "--r", paths["r"],
+                                          "--s", paths["s"]])
+    result = runner.invoke(main, ["solve", *problem, "--lambda", "1", *flags,
+                                  "--out-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "o" / "plan.csv").exists()
+
+
+@pytest.mark.parametrize("power", ["0", "-1", "nan"])
+def test_rcol_bad_cost_power_exits_2(runner, tmp_path, power):
+    pa, pb = write_images(tmp_path)
+    result = runner.invoke(main, ["rcol", "--imgA", pa, "--imgB", pb, "--resample", "100",
+                                  "--lambda0", "1.0", "--p", power, "--band", "none",
+                                  "--seed", "7", "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "cost power p" in result.output

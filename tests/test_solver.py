@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import bisect, minimize_scalar
 
 import rotinf.regularizers as rg
+import rotinf.solver as sv
 from rotinf import (ConvergenceError, CostVector, GroundSpace, Prob,
                     ReductionRequiredError, build_grid_space, cost_from_metric,
                     cost_quantile, divergence, dual_potentials, exact_ot_baseline,
@@ -116,6 +117,25 @@ def test_newton_agrees_with_sinkhorn():
         a = sinkhorn_entropy(c, r, s, lam, tol=1e-11)
         b = solve_general(rg.entropy(), c, r, s, lam, tol=1e-11)
         assert np.abs(a.entries - b.entries).max() < 1e-7
+
+
+def test_entropy_solvers_run_different_methods(monkeypatch):
+    # the agreement above compares two methods only while solve_general keeps
+    # the dual Newton for entropy and sinkhorn_entropy keeps Sinkhorn
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("sinkhorn_matrix", "newton_matrix"):
+        monkeypatch.setattr(sv, name, counted(name, getattr(sv, name)))
+    c, r, s = random_instance(np.random.default_rng(3), 4)
+    sinkhorn_entropy(c, r, s, 1.0)
+    solve_general(rg.entropy(), c, r, s, 1.0)
+    assert calls == ["sinkhorn_matrix", "newton_matrix"]
 
 
 def test_newton_two_point_closed_form(two_point_cost, symmetric_half):
