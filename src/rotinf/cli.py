@@ -298,7 +298,7 @@ def solve(out, plan_out, tol, max_iter, **problem):
 def _variance_core(c, r, s, lam_value, regularizer, mode, delta, tol, max_iter):
     sol = sv.solve_reduced(c, r.weights, s.weights, lam_value, reg=regularizer,
                            tol=tol, max_iter=max_iter)
-    return sol, inf._sigma2_at(sol, mode, delta)
+    return sol, inf._sigma2_at(sol.plan, sol.cost, mode, delta)
 
 
 @_subcommand("variance", _problem_options,

@@ -314,14 +314,17 @@ def _bootstrap_band_core(C_red, r_red, s_red, lam, p, B, alpha, seed, n,
     base = sv.solve_reduced(C_red, r_red, s_red, lam, p=p, tol=tol, max_iter=max_iter)
     base_vals = _group_curve(groups.ravel(), base.plan.entries, thresholds.size)
 
-    def replicate_curves(sols):
-        # each replicate's support is a sub-block of C_red, so it reuses the groups
-        return [_group_curve(groups[np.ix_(sol.row_support, sol.col_support)].ravel(),
-                             sol.plan.entries, thresholds.size) for sol in sols]
+    def replicate_curves(P, R, S):
+        # one bincount over (replicate, group) bins; each bin adds its entries in
+        # row-major order, where the zeros off a replicate's support add nothing
+        T = thresholds.size
+        bins = groups + T * np.arange(len(P))[:, None, None]
+        mass = np.bincount(bins.ravel(), weights=P.ravel(), minlength=len(P) * T)
+        return np.cumsum(mass.reshape(len(P), T), axis=1), {}
 
     # failed replicates keep their slot as NaN rows so that index pairing
     # across settings stays aligned
-    rep = _replicates(C_red, r_red, s_red, n, lam, p, base.potentials, replicate_curves,
+    rep = _replicates(C_red, r_red, s_red, n, lam, base.potentials, replicate_curves,
                       int(B), seed, resample_s=True, tol=tol, max_iter=max_iter,
                       max_failure_rate=max_failure_rate)
     valid = ~np.isnan(rep[:, 0])

@@ -2,16 +2,17 @@
 
 Every stochastic routine here is a pure function of its inputs and an integer
 seed; replicate k draws from a stream derived from (seed, k). The draws of a
-resampling loop are solved together in one batch, and the loop's statistic is
-evaluated over the stack of its solutions: the studentized divergence takes
-every replicate's plug-in variance from one stacked Gram solve.
+resampling loop are solved together in one batch, which yields them in runs
+of arrays, the plans on the loop's cost and their marginals; the loop's
+statistic is evaluated once per run on those arrays: the studentized
+divergence takes every replicate's plug-in variance from one stacked Gram
+solve.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy import stats
@@ -55,11 +56,10 @@ def dirichlet_sample(alpha: float, dim: int, seed) -> Prob:
     return Prob.from_weights(rng.dirichlet(np.full(dim, float(alpha))), normalize=True)
 
 
-def _sigma2_at(sol: sv.ReducedSolution, mode: str, delta: float | None = None) -> float:
-    """Divergence limit variance at a reduced solution."""
-    action = sens.plan_covariance_action(sol.plan.reg, sol.plan, mode=mode, delta=delta)
-    gamma = sens.divergence_gradient(sol.cost.ravel(), sol.plan, p=sol.plan.p)
-    return action.quad_form(gamma)
+def _sigma2_at(plan: sv.TransportPlan, cost, mode: str, delta: float | None = None) -> float:
+    """Divergence limit variance at a plan on the cost matrix ``cost``."""
+    action = sens.plan_covariance_action(plan.reg, plan, mode=mode, delta=delta)
+    return action.quad_form(sens.divergence_gradient(cost.ravel(), plan, p=plan.p))
 
 
 def _studentized(raw: float, sigma2: float, gamma) -> float:
@@ -73,59 +73,58 @@ def _studentized(raw: float, sigma2: float, gamma) -> float:
     raise NumericalError("vanishing variance with a nonzero statistic")
 
 
-def _sigma2_stack(C, sols, mode: str, delta: float | None = None) -> np.ndarray:
-    """``_sigma2_at`` of every solution of a resampling loop on the cost matrix C,
-    through one stacked solve; NaN where the stack leaves a solution out."""
-    B, (n1, n2) = len(sols), C.shape
-    P, R, S = np.zeros((B, n1, n2)), np.zeros((B, n1)), np.zeros((B, n2))
-    for b, sol in enumerate(sols):
-        P[b, sol.row_support[:, None], sol.col_support] = sol.plan.matrix
-        R[b, sol.row_support] = sol.plan.r.weights
-        S[b, sol.col_support] = sol.plan.s.weights
-    return sens.divergence_variances(C, P, R, S, sols[0].plan.p, mode=mode, delta=delta)
-
-
-def _divergence_statistic(C, w0: float, rate: float, mode: str | None = None,
+def _divergence_statistic(C, base: sv.ReducedSolution, rate: float, mode: str | None = None,
                           delta: float | None = None):
-    """Statistic rate * (W(sol) - w0) of the solutions of a loop on the cost matrix C,
-    studentized at each solution unless mode is None.
+    """Statistic rate * (W - W(base)) of a run of replicate plans on the cost matrix C,
+    studentized at each plan unless mode is None.
 
-    The plug-in variances come from one stacked solve (``_sigma2_stack``); a
-    solution it leaves out gets ``_sigma2_at`` and its error, if any.
+    W sums each plan over its own support block, as ``divergence_matrix``
+    sums the reduced plan; a failed replicate's NaN plan gives NaN. The
+    plug-in variances come from one stacked solve
+    (``sensitivity.divergence_variances``); a plan it leaves out gets
+    ``_sigma2_at`` on its own support, and its error, if any.
     """
-    def statistic(sols):
-        raw = [rate * (sol.divergence() - w0) for sol in sols]
+    w0, p = base.divergence(), base.plan.p
+
+    def statistic(P, R, S):
+        blocks = [np.ix_(r > 0, s > 0) for r, s in zip(R, S)]
+        values = np.array([rate * (sv.divergence_matrix(C[ix], plan[ix], p) - w0)
+                           for plan, ix in zip(P, blocks)])
+        errors = {}
         if mode is None:
-            return raw
-        out = []
-        for sol, x, sigma2 in zip(sols, raw, _sigma2_stack(C, sols, mode, delta)):
+            return values, errors
+        sigma2 = sens.divergence_variances(C, P, R, S, p, mode=mode, delta=delta)
+        for b in np.flatnonzero(~np.isnan(values)):
+            cost, plan = C[blocks[b]], P[b][blocks[b]]
             try:
-                if np.isnan(sigma2):
-                    sigma2 = _sigma2_at(sol, mode, delta)
-                gamma = sens.divergence_gradient(sol.cost.ravel(), sol.plan, p=sol.plan.p)
-                out.append(_studentized(x, sigma2, gamma))
+                if np.isnan(sigma2[b]):  # the plan on its own support, as the base's
+                    one = replace(base.plan, entries=plan, r=Prob(R[b][R[b] > 0]),
+                                  s=Prob(S[b][S[b] > 0]))
+                    sigma2[b] = _sigma2_at(one, cost, mode, delta)
+                gamma = sens.divergence_gradient(cost.ravel(), plan, p=p)
+                values[b] = _studentized(values[b], sigma2[b], gamma)
             except (ConvergenceError, NumericalError) as err:
-                out.append(err)
-        return out
+                errors[b] = err
+        return values, errors
     return statistic
 
 
-def _replicates(C, r, s, n, lam, p, warm, statistic, count, seed, *, resample_s=False,
+def _replicates(C, r, s, n, lam, warm, statistic, count, seed, *, resample_s=False,
                 tol, max_iter, max_failure_rate=0.0) -> np.ndarray:
     """Values of ``statistic`` at ``count`` resampled solutions, NaN where one failed.
 
     Replicate k draws r* = Mult(n, r) / n and, with ``resample_s``, then
     s* = Mult(n, s) / n from the stream (seed, k); otherwise s* = s. Every
     replicate is drawn first; then ``solver.solve_replicates`` solves them
-    all together from the warm start on their reduced supports. ``statistic``
-    maps a list of solutions to one value, or one ``ConvergenceError`` or
-    ``NumericalError``, for each. It is called once for each run of
-    replicates that holds at most ``solver._STACK_ENTRIES`` entries of the
-    loop's cost, the Newton stacks' bound, so that what it stacks does not
-    grow with ``count``. An error from either step fails the replicate. Once
-    failures exceed ``max_failure_rate * count``, or when every replicate
-    fails, the first failed replicate's exception type is raised with the
-    failure count, its index and its reason.
+    all together from the warm start on their reduced supports.
+    ``statistic(P, R, S)`` maps each run of replicates it yields, their plans
+    (NaN where the solve failed) with their normalized marginals, to the
+    run's values and {index in the run: ConvergenceError or NumericalError};
+    what it stacks does not grow with ``count``. An error from either step
+    fails the replicate, and its value is NaN. Once failures exceed
+    ``max_failure_rate * count``, or when every replicate fails, the first
+    failed replicate's exception type is raised with the failure count, its
+    index and its reason.
     """
     count = int(count)
     R = np.empty((count, len(r)))
@@ -134,23 +133,19 @@ def _replicates(C, r, s, n, lam, p, warm, statistic, count, seed, *, resample_s=
         rng = rng_for(seed, k)
         R[k] = rng.multinomial(n, r) / n
         S[k] = rng.multinomial(n, s) / n if resample_s else s
-    solutions = iter(sv.solve_replicates(C, R, S, lam, p, warm, tol=tol, max_iter=max_iter))
-    chunk = max(1, sv._STACK_ENTRIES // np.size(C))
-    results = []
-    for part in iter(lambda: list(itertools.islice(solutions, chunk)), []):
-        solved = [x for x in part if not isinstance(x, Exception)]
-        evaluated = iter(statistic(solved) if solved else ())
-        results += [x if isinstance(x, Exception) else next(evaluated) for x in part]
-    errors = {k: x for k, x in enumerate(results) if isinstance(x, Exception)}
+    values, errors = [], {}
+    for P, R_run, S_run, _, failed in sv.solve_replicates(C, R, S, lam, warm, tol=tol,
+                                                          max_iter=max_iter):
+        run_values, run_errors = statistic(P, R_run, S_run)
+        lo = sum(map(len, values))
+        errors.update((lo + b, err) for b, err in {**run_errors, **failed}.items())
+        values.append(run_values)
     if errors and (len(errors) == count or len(errors) > max_failure_rate * count):
         k = min(errors)
         raise type(errors[k])(f"{len(errors)} of {count} replicates failed; the first, "
                               f"replicate {k}: {errors[k]}") from errors[k]
-    shape = np.shape(next(x for x in results if not isinstance(x, Exception)))
-    values = np.full((count,) + shape, np.nan)
-    for k, x in enumerate(results):
-        if k not in errors:
-            values[k] = x
+    values = np.concatenate(values)
+    values[sorted(errors)] = np.nan
     return values
 
 
@@ -170,9 +165,9 @@ def sinkhorn_statistic(r: Prob, s: Prob, c: CostVector, lam: float, n: int,
     p = c.p if p is None else p
     base = sv.solve_reduced(c.matrix, r.weights, s.weights, lam, p=p, tol=tol,
                             max_iter=max_iter)
-    statistic = _divergence_statistic(c.matrix, base.divergence(), np.sqrt(n),
+    statistic = _divergence_statistic(c.matrix, base, np.sqrt(n),
                                       "one_sample" if studentize else None)
-    vals = _replicates(c.matrix, r.weights, s.weights, n, lam, p, base.potentials, statistic,
+    vals = _replicates(c.matrix, r.weights, s.weights, n, lam, base.potentials, statistic,
                        replicates, seed, tol=tol, max_iter=max_iter)
     return SampleDistribution(values=vals, kind="mc", n=n, seed=int(seed))
 
@@ -197,8 +192,8 @@ def bootstrap_statistic(r_hat: Prob, s: Prob, c: CostVector, lam: float, B: int,
     p = c.p if p is None else p
     base = sv.solve_reduced(c.matrix, r_hat.weights, s.weights, lam, p=p, tol=tol,
                             max_iter=max_iter)
-    statistic = _divergence_statistic(c.matrix, base.divergence(), np.sqrt(n))
-    vals = _replicates(c.matrix, r_hat.weights, s.weights, n, lam, p, base.potentials,
+    statistic = _divergence_statistic(c.matrix, base, np.sqrt(n))
+    vals = _replicates(c.matrix, r_hat.weights, s.weights, n, lam, base.potentials,
                        statistic, B, seed, tol=tol, max_iter=max_iter)
     return SampleDistribution(values=vals, kind="bootstrap", n=n, seed=int(seed))
 
@@ -300,11 +295,17 @@ class MCConfig:
         least_n = 2 if self.lambda_of_n else 1  # log(sqrt(n)) must be positive
         for key, bad, need in (
                 ("mode", self.mode not in MC_MODES, f"be one of {MC_MODES}"),
+                ("L", self.L < 2, "be at least 2"),
+                ("seed", self.seed < 0, "be at least 0"),
                 ("replicates", self.replicates < 1, "be at least 1"),
                 ("n", not self.n or min(self.n) < least_n,
                  f"hold sample sizes of at least {least_n}"),
                 ("max_failure_rate", not 0.0 <= self.max_failure_rate <= 1.0, "lie in [0, 1]"),
-                ("lambda0", any(l0 <= 0 for l0 in self.lambda0), "be positive"),
+                ("lambda0", not self.lambda0 or not all(0.0 < l0 < np.inf for l0 in self.lambda0),
+                 "hold finite and positive values"),
+                ("dirichlet_alpha", not 0.0 < self.dirichlet_alpha < np.inf,
+                 "be finite and positive"),
+                ("extent", not 0.0 < self.extent < np.inf, "be finite and positive"),
                 ("tol", not 0.0 < self.tol < np.inf, "be finite and positive"),
                 ("max_iter", self.max_iter < 1, "be at least 1"),
                 ("kappa", self.lambda_of_n and not 0.0 < self.kappa < np.inf,
@@ -389,11 +390,11 @@ def mc_experiment(config: MCConfig) -> MCReport:
             base = sv.solve_reduced(C, r.weights, s.weights, lam, p=config.p,
                                     tol=config.tol, max_iter=config.max_iter)
             rate = np.sqrt(n / 2.0) if two_sample else np.sqrt(n)
-            sigma_pop2 = _sigma2_at(base, mode, delta)
-            statistic = _divergence_statistic(C, base.divergence(), rate,
+            sigma_pop2 = _sigma2_at(base.plan, base.cost, mode, delta)
+            statistic = _divergence_statistic(C, base, rate,
                                               mode if config.studentize else None, delta)
             try:
-                raw_vals = _replicates(C, r.weights, s.weights, n, lam, config.p,
+                raw_vals = _replicates(C, r.weights, s.weights, n, lam,
                                        base.potentials, statistic, config.replicates,
                                        cell_seed, resample_s=two_sample, tol=config.tol,
                                        max_iter=config.max_iter,

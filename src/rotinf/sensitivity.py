@@ -241,14 +241,15 @@ def plan_covariance(reg: rg.Regularizer, plan: TransportPlan,
     return CovarianceResult(sigma_plan=action.dense(), mode=mode, delta=action.delta)
 
 
-def divergence_gradient(c, plan: TransportPlan, p: float | None = None) -> np.ndarray:
-    """Gradient of pi -> <c, pi>**(1/p) at the plan."""
+def divergence_gradient(c, plan, p: float | None = None) -> np.ndarray:
+    """Gradient of pi -> <c, pi>**(1/p) at the plan, a TransportPlan or its entries
+    (then p must be given with a raw cost)."""
     entries = c.entries if isinstance(c, CostVector) else np.asarray(c, dtype=float).ravel()
     if p is None:
         p = c.p if isinstance(c, CostVector) else plan.p
     if p == 1.0:
         return entries
-    ip = float(entries @ plan.entries)
+    ip = float(entries @ np.ravel(getattr(plan, "entries", plan)))
     if ip <= 0.0:
         raise NumericalError("the p-th root is not differentiable at zero transport cost")
     return (1.0 / p) * ip ** (1.0 / p - 1.0) * entries

@@ -8,7 +8,8 @@ small regularization makes it do, is handed once to a warm entropy Newton
 (Brauer, Clason, Lorenz & Wirth 2017) and resumes Sinkhorn after one column
 update, or where it stalled when Newton fails. ``solve_replicates`` runs the
 warm Sinkhorn solves of a resampling loop together over one shared kernel,
-and its stalled replicates through one stacked Newton. ``solve_reduced`` is
+and its stalled replicates through one stacked Newton, and yields them as
+arrays: runs of plans on the loop's cost. ``solve_reduced`` is
 the entry point the rest of the package solves through. Every Newton step,
 plan gradient and variance solves with the reduced marginal Gram matrix
 through one Cholesky factor, ``GramFactor``, of one plan or of a stack.
@@ -354,7 +355,7 @@ class GramFactor:
         self._vc = W / self._c[:, None, :]
         self._vc *= free[:, None, :]
         schur = -(self._vc @ W.transpose(0, 2, 1))
-        schur.reshape(B, -1)[:, :: self.n_rows + 1] += rsum + off_row  # the diagonals
+        schur.reshape(B, self.n_rows ** 2)[:, :: self.n_rows + 1] += rsum + off_row  # diagonals
         # potrf factors each slice in place: its transpose, Fortran-ordered, becomes
         # the upper factor U with U^T U = the slice, which potrs takes uncopied
         self._chol = schur
@@ -639,29 +640,6 @@ def _check_weights(C, rw, sw):
         raise ValueError("marginal weights must be finite and nonnegative")
 
 
-def _support(rw, sw):
-    """(rows, cols, r, s): the support of two weight vectors and its normalized weights."""
-    rows = np.flatnonzero(rw > 0)
-    cols = np.flatnonzero(sw > 0)
-    return (rows, cols, Prob.from_weights(rw[rows], normalize=True),
-            Prob.from_weights(sw[cols], normalize=True))
-
-
-def _solution(C_red, support, full_shape, P, it, res, lam, p, reg, f=None, g=None):
-    """ReducedSolution of plan P on ``support``, with potentials (f, g) re-embedded."""
-    rows, cols, r_red, s_red = support
-    plan = TransportPlan(entries=P.ravel(), r=r_red, s=s_red, lam=float(lam),
-                         reg=reg, p=float(p), iterations=it, residual=res)
-    potentials = None
-    if f is not None:
-        potentials = (np.zeros(full_shape[0]), np.zeros(full_shape[1]))
-        potentials[0][rows] = f
-        potentials[1][cols] = g
-    return ReducedSolution(plan=plan, cost=C_red, row_support=rows, col_support=cols,
-                           n_rows_full=full_shape[0], n_cols_full=full_shape[1],
-                           potentials=potentials)
-
-
 def solve_reduced(cost, r_weights, s_weights, lam, reg: rg.Regularizer | None = None,
                   p: float | None = None, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, init=None) -> ReducedSolution:
@@ -682,18 +660,29 @@ def solve_reduced(cost, r_weights, s_weights, lam, reg: rg.Regularizer | None = 
     rw = np.asarray(r_weights, dtype=float).ravel()
     sw = np.asarray(s_weights, dtype=float).ravel()
     _check_weights(C, rw, sw)
-    support = rows, cols, r_red, s_red = _support(rw, sw)
+    rows = np.flatnonzero(rw > 0)
+    cols = np.flatnonzero(sw > 0)
+    r_red = Prob.from_weights(rw[rows], normalize=True)
+    s_red = Prob.from_weights(sw[cols], normalize=True)
     C_red = C[np.ix_(rows, cols)]
-    if init is not None:
-        f0, g0 = init
-        init = (np.asarray(f0)[rows], np.asarray(g0)[cols])
+    potentials = None
     if reg is None or reg.kind == "entropy":
+        if init is not None:
+            init = (np.asarray(init[0])[rows], np.asarray(init[1])[cols])
         P, f, g, it, res = sinkhorn_matrix(C_red, r_red.weights, s_red.weights, lam,
                                            tol=tol, max_iter=max_iter, init=init)
-        return _solution(C_red, support, C.shape, P, it, res, lam, p, rg.entropy(), f, g)
-    P, _, it, res = newton_matrix(reg, C_red, r_red.weights, s_red.weights,
-                                  lam, tol=tol, max_iter=min(max_iter, 500))
-    return _solution(C_red, support, C.shape, P, it, res, lam, p, reg)
+        reg = rg.entropy()
+        potentials = (np.zeros(C.shape[0]), np.zeros(C.shape[1]))
+        potentials[0][rows] = f
+        potentials[1][cols] = g
+    else:
+        P, _, it, res = newton_matrix(reg, C_red, r_red.weights, s_red.weights,
+                                      lam, tol=tol, max_iter=min(max_iter, 500))
+    plan = TransportPlan(entries=P.ravel(), r=r_red, s=s_red, lam=float(lam), reg=reg,
+                         p=float(p), iterations=it, residual=res)
+    return ReducedSolution(plan=plan, cost=C_red, row_support=rows, col_support=cols,
+                           n_rows_full=C.shape[0], n_cols_full=C.shape[1],
+                           potentials=potentials)
 
 
 _DONE, _HANDOFF, _FAILED = 0, 1, 2
@@ -776,78 +765,82 @@ def _sinkhorn_batch(K, R, S, lam, tol, max_iter):
     return U_out, V_out, iters, resid, status, refs
 
 
-def solve_replicates(C, R, S, lam, p, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def _normalized(W):
+    """Each row of W divided by its mass, summed over its positive entries alone
+    as ``solve_reduced`` sums them."""
+    out = np.zeros_like(W)
+    for w, o in zip(W, out):
+        pos = w > 0
+        o[pos] = w[pos] / w[pos].sum()
+    return out
+
+
+def solve_replicates(C, R, S, lam, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Warm entropy solves of many marginal pairs on one cost, run as one batch.
 
     Row k of ``R`` (B, n1) and ``S`` (B, n2) holds replicate k's nonnegative
     weights, and ``init`` = (f0, g0) are the warm potentials of a solution
-    whose support holds every replicate's. Yields, in replicate order, what
-    ``solve_reduced(C, R[k], S[k], lam, p=p, tol=tol, max_iter=max_iter,
-    init=init)`` returns, with the same iteration count and equal up to
-    rounding, or the ConvergenceError or NumericalError it raises.
+    whose support holds every replicate's. Yields one record
+    (P, R, S, iterations, errors) per run of consecutive replicates that
+    holds at most _STACK_ENTRIES entries of C: their plans on C (b, n1, n2),
+    each zero off its own support and NaN where the solve failed; their
+    weights normalized on their supports; their iteration counts, 0 where
+    the solve failed; and {index in the run: the ConvergenceError or
+    NumericalError}. Replicate k's plan, count and error are those that
+    ``solve_reduced`` gives for (C, R[k], S[k]) from ``init`` at the same
+    ``tol`` and ``max_iter``, the plan equal up to rounding.
 
     One kernel exp((f0 + g0 - C) / lam) on the union of the supports serves
     every replicate (see ``_sinkhorn_batch``), and the replicates that stall
-    at one iteration run one stacked Newton over it. Replicates that leave the
+    at one iteration run one stacked Newton over it. The plans the batch
+    finishes are formed in one broadcast per run. Replicates that leave the
     batch early or last finish in ``sinkhorn_matrix`` from their absorbed
     potentials, carrying their iteration count and stall state, and a
-    replicate with a single atom on either side goes through
-    ``solve_reduced``. Plans are built one at a time, as they are yielded.
+    replicate with a single atom on either side, whose plan is the product
+    of its marginals, goes there directly.
     """
-    C = np.asarray(C, dtype=float)
-    R = np.asarray(R, dtype=float)
-    S = np.asarray(S, dtype=float)
+    C, R, S = (np.asarray(x, dtype=float) for x in (C, R, S))
     _check_setting(C, lam, tol, max_iter)
     _check_weights(C, R, S)
+    R, S = _normalized(R), _normalized(S)
     f0, g0 = (np.asarray(x, dtype=float) for x in init)
-    supports = [_support(rw, sw) for rw, sw in zip(R, S)]
-    batch = [k for k, (rows, cols, _, _) in enumerate(supports)
-             if min(rows.size, cols.size) > 1]
+    batch = np.flatnonzero(((R > 0).sum(axis=1) > 1) & ((S > 0).sum(axis=1) > 1))
     ru = np.flatnonzero((R[batch] > 0).any(axis=0))
     cu = np.flatnonzero((S[batch] > 0).any(axis=0))
-    rloc = np.zeros(C.shape[0], dtype=int)
-    cloc = np.zeros(C.shape[1], dtype=int)
-    rloc[ru] = np.arange(ru.size)
-    cloc[cu] = np.arange(cu.size)
-    Rb = np.zeros((len(batch), ru.size))
-    Sb = np.zeros((len(batch), cu.size))
-    for i, k in enumerate(batch):
-        rows, cols, r_red, s_red = supports[k]
-        Rb[i, rloc[rows]] = r_red.weights
-        Sb[i, cloc[cols]] = s_red.weights
     K = np.exp((f0[ru][:, None] + g0[cu][None, :] - C[np.ix_(ru, cu)]) / lam)
-    U, V, iters, resid, status, refs = _sinkhorn_batch(K, Rb, Sb, lam, tol, max_iter)
-
-    def finish(i, support):
-        rows, cols, r_red, s_red = support
-        used = int(iters[i])
-        if status[i] == _FAILED:
-            raise _sinkhorn_failure(tol, max_iter, float(resid[i]), used)
-        C_red = C[np.ix_(rows, cols)]
-        u, v = U[i, rloc[rows]], V[i, cloc[cols]]
-        f = f0[rows] + lam * np.log(u)
-        g = g0[cols] + lam * np.log(v)
-        if status[i] == _DONE:
-            P = (u[:, None] * K[np.ix_(rloc[rows], cloc[cols])]) * v[None, :]
-            it, res = used, float(resid[i])
-        else:
-            watch = (used, None if np.isnan(refs[i]) else float(refs[i]))
-            P, f, g, it, res = sinkhorn_matrix(C_red, r_red.weights, s_red.weights, lam,
-                                               tol=tol, max_iter=max_iter, init=(f, g),
-                                               _resume=watch)
-        return _solution(C_red, support, C.shape, P, it, res, lam, p, rg.entropy(), f, g)
-
-    slot = dict(zip(batch, range(len(batch))))
-    for k, support in enumerate(supports):
-        try:
-            if k in slot:
-                sol = finish(slot[k], support)
-            else:
-                sol = solve_reduced(C, R[k], S[k], lam, p=p, tol=tol, max_iter=max_iter,
-                                    init=init)
-        except (ConvergenceError, NumericalError) as err:
-            sol = err
-        yield sol
+    U, V, iters, resid, status, refs = _sinkhorn_batch(K, R[np.ix_(batch, ru)],
+                                                       S[np.ix_(batch, cu)], lam, tol, max_iter)
+    slot = np.full(len(R), -1)
+    slot[batch] = np.arange(batch.size)
+    state = np.full(len(R), _HANDOFF)
+    state[batch] = status
+    size = max(1, _STACK_ENTRIES // C.size)
+    for lo in range(0, len(R), size):
+        run = slice(lo, lo + size)
+        P = np.zeros((min(size, len(R) - lo),) + C.shape)
+        counts = np.zeros(len(P), dtype=int)
+        errors = {}
+        done = np.flatnonzero(state[run] == _DONE)
+        i = slot[lo + done]
+        P[np.ix_(done, ru, cu)] = U[i][:, :, None] * K * V[i][:, None, :]
+        counts[done] = iters[i]
+        for b in np.flatnonzero(state[run] != _DONE):
+            k, i = lo + b, slot[lo + b]
+            rows, cols = np.flatnonzero(R[k]), np.flatnonzero(S[k])
+            warm = watch = None
+            try:
+                if state[k] == _FAILED:
+                    raise _sinkhorn_failure(tol, max_iter, float(resid[i]), int(iters[i]))
+                if i >= 0:  # leaves the batch with its absorbed potentials and stall state
+                    warm = (f0[rows] + lam * np.log(U[i, np.searchsorted(ru, rows)]),
+                            g0[cols] + lam * np.log(V[i, np.searchsorted(cu, cols)]))
+                    watch = (int(iters[i]), None if np.isnan(refs[i]) else float(refs[i]))
+                P[b][np.ix_(rows, cols)], _, _, counts[b], _ = sinkhorn_matrix(
+                    C[np.ix_(rows, cols)], R[k, rows], S[k, cols], lam, tol=tol,
+                    max_iter=max_iter, init=warm, _resume=watch)
+            except (ConvergenceError, NumericalError) as err:
+                P[b], errors[b] = np.nan, err
+        yield P, R[run], S[run], counts, errors
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,41 @@ def test_mc_lambda_of_n_needs_two_points_and_positive_kappa(runner, tmp_path, ke
     assert caught == []
 
 
+@pytest.mark.parametrize("key, entries", [
+    ("L", '"L": 1'), ("L", '"L": 1, "lambda_of_n": true'), ("L", '"L": 0'),
+    ("lambda0", '"lambda0": [NaN]'), ("lambda0", '"lambda0": [2.0, Infinity]'),
+    ("lambda0", '"lambda0": []'), ("seed", '"seed": -3'),
+    ("dirichlet_alpha", '"dirichlet_alpha": NaN'), ("dirichlet_alpha", '"dirichlet_alpha": 0.0'),
+    ("extent", '"extent": 1e400'), ("extent", '"extent": -1.0'),
+])
+def test_mc_out_of_range_setting_exits_2(runner, tmp_path, key, entries):
+    # later entries of the JSON object override the earlier ones
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"L": 2, "lambda0": [2.0], "n": [10], "replicates": 5, "seed": 3, '
+                        + entries + "}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["mc", "--config", str(cfg_path),
+                                      "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"MCConfig key '{key}'" in result.output
+    assert caught == []
+
+
+def test_mc_plans_at_zero_cost_under_a_root_exit_numerical(runner, tmp_path):
+    # n = 1 puts both sides of every replicate on one atom; on a shared atom the
+    # plan sits at zero cost, where the p-th root has no gradient, so no plan of
+    # the run goes into the stacked variance
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"L": 2, "lambda0": [1.0], "n": [1], "replicates": 1,
+                                    "seed": 7, "mode": "two_sample", "p": 2.0,
+                                    "max_failure_rate": 1.0}))
+    result = runner.invoke(main, ["mc", "--config", str(cfg_path),
+                                  "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 5, result.output
+    assert "not differentiable at zero transport cost" in result.output
+
+
 @pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--max-iter", "-2"],
                                    ["--p", "-1"], ["--p", "0"], ["--p", "0.5"],
                                    ["--p", "inf"], ["--p", "nan"],

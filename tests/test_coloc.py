@@ -204,7 +204,8 @@ def test_bootstrap_band_reports_failure_counts(monkeypatch):
     from rotinf import ConvergenceError
 
     def always_fails(C, R, S, *args, **kwargs):
-        return [ConvergenceError("synthetic replicate failure") for _ in R]
+        yield (np.full((len(R),) + C.shape, np.nan), R, S, np.zeros(len(R), dtype=int),
+               {b: ConvergenceError("synthetic replicate failure") for b in range(len(R))})
 
     monkeypatch.setattr(coloc_mod.sv, "solve_replicates", always_fails)
     rng = np.random.default_rng(11)

@@ -114,16 +114,35 @@ def test_bootstrap_centering_rate():
         assert abs(dist.values.mean() - center) < 3.0 * sd / np.sqrt(B)
 
 
+def test_studentized_statistic_of_plans_at_zero_cost_under_a_root():
+    # every replicate of a Dirac sits at zero cost, where the square root has no
+    # gradient, so the stacked variance is left with an empty stack
+    c = cost_from_metric(build_grid_space(2), p=2.0)
+    dirac = Prob(np.eye(4)[1])
+    with pytest.raises(NumericalError, match="3 of 3 replicates failed.*not differentiable "
+                                             "at zero transport cost"):
+        sinkhorn_statistic(dirac, dirac, c, 0.5, n=10, replicates=3, seed=0)
+
+
+def failing_runs(real, fails, error):
+    """``real``, the batched solver, with replicate k failed where fails(k): its plan
+    NaN and its error ``error("synthetic replicate failure")``."""
+    def flaky(*args, **kwargs):
+        lo = 0
+        for P, R, S, counts, errors in real(*args, **kwargs):
+            for b in range(len(P)):
+                if fails(lo + b):
+                    P[b], errors[b] = np.nan, error("synthetic replicate failure")
+            lo += len(P)
+            yield P, R, S, counts, errors
+    return flaky
+
+
 def test_mc_experiment_aggregates_replicate_failures(monkeypatch):
     import rotinf.inference as inf_mod
 
-    real = inf_mod.sv.solve_replicates
-
-    def flaky(*args, **kwargs):
-        for k, sol in enumerate(real(*args, **kwargs)):
-            yield ConvergenceError("synthetic replicate failure") if k % 3 == 1 else sol
-
-    monkeypatch.setattr(inf_mod.sv, "solve_replicates", flaky)
+    monkeypatch.setattr(inf_mod.sv, "solve_replicates", failing_runs(
+        inf_mod.sv.solve_replicates, lambda k: k % 3 == 1, ConvergenceError))
     cfg = MCConfig(L=2, lambda0=(2.0,), n=(15,), replicates=30, seed=17)
     with pytest.raises(ConvergenceError, match="replicates failed"):
         mc_experiment(cfg)
@@ -270,21 +289,14 @@ def test_interval_and_bootstrap_refuse_degenerate_sizes(two_point_cost):
 
 @pytest.fixture
 def fail_replicates(monkeypatch):
-    """Make the solves of the given replicate indices fail.
-
-    The batched solver yields replicate k's solution k-th; the wrapper puts
-    a NumericalError in its place.
-    """
+    """Make the solves of the given replicate indices fail with a NumericalError."""
     import rotinf.solver as sv_mod
 
     real = sv_mod.solve_replicates
 
     def install(indices):
-        def flaky(*args, **kwargs):
-            for k, sol in enumerate(real(*args, **kwargs)):
-                yield NumericalError("synthetic replicate failure") if k in indices else sol
-
-        monkeypatch.setattr(sv_mod, "solve_replicates", flaky)
+        monkeypatch.setattr(sv_mod, "solve_replicates",
+                            failing_runs(real, indices.__contains__, NumericalError))
     return install
 
 

@@ -15,8 +15,7 @@ import rotinf.solver as sv
 from rotinf import (ConvergenceError, GroundSpace, NumericalError, Prob, TransportPlan,
                     cost_from_metric, plan_covariance, plan_gradient, solve_reduced)
 from rotinf._util import rng_for
-from rotinf.inference import (_divergence_statistic, _replicates, _sigma2_at, _sigma2_stack,
-                              _studentized)
+from rotinf.inference import _divergence_statistic, _replicates, _sigma2_at, _studentized
 from rotinf.solver import GramFactor, _reduced_gram
 from rotinf.space import ConstraintOperator
 
@@ -108,6 +107,13 @@ def test_gram_factor_without_cholesky_factor_raises():
         GramFactor(np.array([[0.0, 0.5], [0.5, 0.0]]))
 
 
+def test_gram_factor_of_an_empty_stack():
+    W = np.zeros((0, 3, 4))
+    gram = GramFactor(W, np.zeros((0, 4), dtype=bool), np.zeros((0, 3), dtype=bool))
+    x, y = gram.solve_blocks(np.zeros((0, 3)), np.zeros((0, 4)))
+    assert gram.factored.shape == x.shape[:1] == y.shape[:1] == (0,)
+
+
 @pytest.mark.parametrize("reg", ALL_KINDS, ids=str)
 @given(case=instances())
 def test_constraint_times_gradient_is_identity(reg, case):
@@ -176,11 +182,23 @@ def replicate_loops(draw):
 
 
 def replicate_record(sol):
-    return np.array([sol.divergence(), sol.plan.iterations, sol.plan.entries.sum()])
+    return np.array([sol.divergence(), sol.plan.entries.sum()])
 
 
-def replicate_records(sols):
-    return [replicate_record(sol) for sol in sols]
+def replicate_records(C):
+    """A run statistic: each plan's divergence over its own support, and its mass."""
+    def statistic(P, R, S):
+        blocks = [np.ix_(r > 0, s > 0) for r, s in zip(R, S)]
+        return np.array([[sv.divergence_matrix(C[ix], plan[ix], 1.0), plan.sum()]
+                         for plan, ix in zip(P, blocks)]), {}
+    return statistic
+
+
+def solved_replicates(*args, **kwargs):
+    """``solve_replicates`` flattened to one (plan, r, s, count, error) per replicate."""
+    return [(P[b], R[b], S[b], counts[b], errors.get(b))
+            for P, R, S, counts, errors in sv.solve_replicates(*args, **kwargs)
+            for b in range(len(P))]
 
 
 def looped_solves(C, R, S, lam, warm, max_iter):
@@ -195,16 +213,20 @@ def looped_solves(C, R, S, lam, warm, max_iter):
 
 def assert_same_solves(batched, looped):
     assert len(batched) == len(looped)
-    for a, b in zip(batched, looped):
-        assert type(a) is type(b)
+    for (plan, r, s, count, err), b in zip(batched, looped):
         if isinstance(b, ConvergenceError):
-            assert (str(a), a.iterations) == (str(b), b.iterations)
+            assert type(err) is type(b)
+            assert (str(err), err.iterations) == (str(b), b.iterations)
+            assert np.isnan(plan).all()
             continue
-        assert a.plan.iterations == b.plan.iterations
-        assert (a.row_support == b.row_support).all() and (a.col_support == b.col_support).all()
-        assert np.allclose(a.plan.entries, b.plan.entries, rtol=1e-12, atol=1e-15)
-        for x, y in zip(a.potentials, b.potentials):
-            assert np.allclose(x, y, rtol=1e-12, atol=1e-14)
+        assert err is None
+        assert count == b.plan.iterations
+        # the normalized marginals sit on the same supports with the same weights
+        assert (np.flatnonzero(r) == b.row_support).all()
+        assert (np.flatnonzero(s) == b.col_support).all()
+        assert (r[b.row_support] == b.plan.r.weights).all()
+        assert (s[b.col_support] == b.plan.s.weights).all()
+        assert np.allclose(plan.ravel(), b.full_entries(), rtol=1e-12, atol=1e-15)
 
 
 @given(case=replicate_loops())
@@ -221,14 +243,14 @@ def test_batched_replicates_match_looped_solves(case):
         R[k] = rng.multinomial(n, r) / n
         S[k] = rng.multinomial(n, s) / n if case["resample_s"] else s
     looped = looped_solves(C, R, S, lam, warm, case["max_iter"])
-    assert_same_solves(list(sv.solve_replicates(C, R, S, lam, 1.0, warm,
-                                                max_iter=case["max_iter"])), looped)
-    looped = np.array([np.full(3, np.nan) if isinstance(sol, ConvergenceError)
+    assert_same_solves(solved_replicates(C, R, S, lam, warm, max_iter=case["max_iter"]),
+                       looped)
+    looped = np.array([np.full(2, np.nan) if isinstance(sol, ConvergenceError)
                        else replicate_record(sol) for sol in looped])
     ok = ~np.isnan(looped[:, 0])
 
     def run_batched():
-        return _replicates(C, r, s, n, lam, 1.0, warm, replicate_records, case["count"],
+        return _replicates(C, r, s, n, lam, warm, replicate_records(C), case["count"],
                            case["seed"], resample_s=case["resample_s"], tol=1e-9,
                            max_iter=case["max_iter"], max_failure_rate=1.0)
 
@@ -239,8 +261,7 @@ def test_batched_replicates_match_looped_solves(case):
         return
     batched = run_batched()
     assert (np.isnan(batched[:, 0]) == ~ok).all()
-    assert (batched[ok, 1] == looped[ok, 1]).all()
-    for col in (0, 2):
+    for col in (0, 1):
         assert np.allclose(batched[ok, col], looped[ok, col], rtol=1e-12, atol=0.0)
 
 
@@ -265,7 +286,7 @@ def test_absorption_handoff_matches_looped_solves(monkeypatch):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sv, "sinkhorn_matrix", counted)
-        batched = list(sv.solve_replicates(C, R, S, 0.001, 1.0, warm, max_iter=max_iter))
+        batched = solved_replicates(C, R, S, 0.001, warm, max_iter=max_iter)
         assert len(handoffs) == 4
         monkeypatch.setattr(sv, "sinkhorn_matrix", real)
         looped = looped_solves(C, R, S, 0.001, warm, max_iter)
@@ -281,9 +302,9 @@ def test_single_atom_replicates_keep_the_scalar_path():
     warm = solve_reduced(C, r, s, 0.2, p=1.0).potentials
     R = np.array([[0.0, 1.0, 0.0, 0.0], r, [0.5, 0.0, 0.5, 0.0]])
     S = np.array([s, [0.0, 0.0, 0.0, 1.0], [0.25, 0.25, 0.5, 0.0]])
-    batched = list(sv.solve_replicates(C, R, S, 0.2, 1.0, warm))
-    assert [sol.plan.iterations == 0 for sol in batched] == [True, True, False]
-    assert np.allclose(batched[0].plan.entries, s)
+    batched = solved_replicates(C, R, S, 0.2, warm)
+    assert [count == 0 for _, _, _, count, _ in batched] == [True, True, False]
+    assert np.allclose(batched[0][0][1], s)
     assert_same_solves(batched, looped_solves(C, R, S, 0.2, warm, sv.DEFAULT_MAX_ITER))
 
 
@@ -314,20 +335,20 @@ def test_failed_newton_falls_back_to_sinkhorn(monkeypatch):
     S = np.array([[0.0, 0.9, 0.1], [0.3, 0.3, 0.4], [0.3, 0.1, 0.6]])
     outcomes = recorded_newton(monkeypatch)
     for max_iter in (sv.DEFAULT_MAX_ITER, 300):
-        batched = list(sv.solve_replicates(C, R, S, 0.002, 1.0, warm, max_iter=max_iter))
+        batched = solved_replicates(C, R, S, 0.002, warm, max_iter=max_iter)
         in_batch = sorted(outcomes)
         outcomes.clear()
         looped = looped_solves(C, R, S, 0.002, warm, max_iter)
         assert in_batch == sorted(outcomes) == [(False, 14), (True, 1), (True, 1)]
         outcomes.clear()
         assert_same_solves(batched, looped)
-    assert [sol.plan.iterations for sol in batched[::2]] == [120, 114]
-    assert isinstance(batched[1], ConvergenceError) and batched[1].iterations == 300
+    assert [count for _, _, _, count, _ in batched[::2]] == [120, 114]
+    assert isinstance(batched[1][4], ConvergenceError) and batched[1][4].iterations == 300
     # the last replicate stalls at iteration 100 and needs 14 Newton steps; with
     # fewer left its Newton falls back too, and the solve fails at max_iter
     # with the residual it stalled at
-    at_stall, cut_short = (list(sv.solve_replicates(C, R[[2, 2]], S[[2, 2]], 0.002, 1.0, warm,
-                                                    max_iter=max_iter))
+    at_stall, cut_short = ([err for *_, err in solved_replicates(C, R[[2, 2]], S[[2, 2]], 0.002,
+                                                                 warm, max_iter=max_iter)]
                            for max_iter in (100, 113))
     assert cut_short[0].iterations == 113
     assert cut_short[0].residual == at_stall[0].residual == at_stall[1].residual
@@ -341,9 +362,9 @@ def test_newton_failing_midway_falls_back_to_where_it_stalled(monkeypatch):
     R = np.array([[0.1, 0.4, 0.5], [0.4, 0.5, 0.1]])
     S = np.array([[0.1, 0.3, 0.6], [0.3, 0.6, 0.1]])
     outcomes = recorded_newton(monkeypatch)
-    batched = list(sv.solve_replicates(C, R, S, 0.02, 1.0, warm))
+    batched = solved_replicates(C, R, S, 0.02, warm)
     assert outcomes == [(True, 3), (True, 3)]
-    assert [sol.plan.iterations for sol in batched] == [148, 148]
+    assert [count for _, _, _, count, _ in batched] == [148, 148]
     assert_same_solves(batched, looped_solves(C, R, S, 0.02, warm, sv.DEFAULT_MAX_ITER))
 
 
@@ -363,14 +384,12 @@ def studentized_loops(draw):
                 atom=(draw(st.integers(0, N - 1)), draw(st.integers(0, N - 1))))
 
 
-def singular_solution(C, lam, p):
-    """An anti-diagonal plan on points 0 and 1, whose reduced Gram is singular."""
-    half = Prob([0.5, 0.5])
-    plan = TransportPlan(entries=np.array([0.0, 0.5, 0.5, 0.0]), r=half, s=half, lam=lam,
-                         reg=rg.entropy(), p=p, iterations=0, residual=0.0)
-    return sv.ReducedSolution(plan=plan, cost=C[:2, :2], row_support=np.arange(2),
-                              col_support=np.arange(2), n_rows_full=len(C),
-                              n_cols_full=len(C))
+def singular_plan(N):
+    """An anti-diagonal plan on points 0 and 1 of N, with its marginals; its reduced
+    Gram is singular."""
+    P, half = np.zeros((N, N)), np.zeros(N)
+    P[0, 1] = P[1, 0] = half[0] = half[1] = 0.5
+    return P, half, half
 
 
 def outcome(fn):
@@ -394,32 +413,41 @@ def test_stacked_variances_match_the_one_plan_path(case):
         rng = rng_for(case["seed"], k)
         R[k] = rng.multinomial(n, r) / n
         S[k] = rng.multinomial(n, s) / n if delta is not None else s
-    sols = [sol for sol in sv.solve_replicates(C, R, S, lam, p, base.potentials)
-            if not isinstance(sol, Exception)]
+    solved = [(plan, r_, s_) for plan, r_, s_, _, err
+              in solved_replicates(C, R, S, lam, base.potentials) if err is None]
     # one atom on each side leaves a variance of exactly zero (or, at p = 2 on
     # one point, a fractional root at zero cost); the last plan's Gram is singular
     i, j = case["atom"]
-    sols += [solve_reduced(C, np.eye(len(C))[i], np.eye(len(C))[j], lam, p=p),
-             singular_solution(C, lam, p)]
+    ri, sj = np.eye(len(C))[i], np.eye(len(C))[j]
+    atom = solve_reduced(C, ri, sj, lam, p=p)
+    solved += [(atom.full_entries().reshape(C.shape), ri, sj), singular_plan(len(C))]
+    P, R, S = (np.array(x) for x in zip(*solved))
     rate = np.sqrt(n / 2.0) if delta is not None else np.sqrt(n)
     w0 = base.divergence()
-    values = _divergence_statistic(C, w0, rate, mode, delta)(sols)
-    assert len(values) == len(sols)
-    for sigma2, value, sol in zip(_sigma2_stack(C, sols, mode, delta), values, sols):
-        want = outcome(lambda: _sigma2_at(sol, mode, delta))
+    values, errors = _divergence_statistic(C, base, rate, mode, delta)(P, R, S)
+    assert len(values) == len(P)
+    for b, sigma2 in enumerate(sens.divergence_variances(C, P, R, S, p, mode=mode, delta=delta)):
+        rows, cols = np.flatnonzero(R[b]), np.flatnonzero(S[b])
+        cost = C[np.ix_(rows, cols)]
+        plan = TransportPlan(entries=P[b][np.ix_(rows, cols)], r=Prob(R[b][rows]),
+                             s=Prob(S[b][cols]), lam=lam, reg=rg.entropy(), p=p,
+                             iterations=0, residual=0.0)
+        want = outcome(lambda: _sigma2_at(plan, cost, mode, delta))
+        value = errors.get(b, values[b])
         assert np.isnan(sigma2) == isinstance(want, Exception)
         if isinstance(want, Exception):
             assert (type(value), str(value)) == (type(want), str(want))
             continue
         # both paths round the quadratic form's terms, of the size of the
         # squared gradient; where they cancel, that rounding is all that is left
-        gamma = sens.divergence_gradient(sol.cost.ravel(), sol.plan, p)
+        gamma = sens.divergence_gradient(cost.ravel(), plan, p)
         floor = 1e-14 * np.abs(gamma).max() ** 2
         assert abs(sigma2 - want) <= 1e-12 * want + floor
-        want_value = outcome(lambda: _studentized(rate * (sol.divergence() - w0), want, gamma))
+        raw = rate * (sv.divergence_matrix(cost, plan.matrix, p) - w0)
+        want_value = outcome(lambda: _studentized(raw, want, gamma))
         if isinstance(want_value, Exception):
             assert (type(value), str(value)) == (type(want_value), str(want_value))
         else:
             slack = floor / want if want > 0.0 else 0.0
             assert abs(value - want_value) <= abs(want_value) * (1e-12 + slack)
-    assert isinstance(values[-1], NumericalError) and "singular" in str(values[-1])
+    assert isinstance(errors[len(P) - 1], NumericalError) and "singular" in str(errors[len(P) - 1])
