@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import sensitivity as sens
 from . import solver as sv
@@ -23,6 +22,13 @@ from .inference import _replicates
 from .space import METRICS, CostVector, GroundSpace, Prob, check_power
 
 DEFAULT_BAND_DRAWS = 2000
+
+
+def cdist(xa, xb, metric):
+    """``scipy.spatial.distance.cdist``, whose import waits for the first call."""
+    from scipy.spatial import distance
+
+    return distance.cdist(xa, xb, metric=metric)
 
 
 @dataclass(frozen=True)

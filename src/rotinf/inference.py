@@ -15,7 +15,7 @@ import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from . import sensitivity as sens
 from . import solver as sv
@@ -216,14 +216,16 @@ def ks_distance(sample, reference) -> float:
     if isinstance(reference, str):
         if reference != "normal":
             raise ValueError("only the 'normal' shorthand is supported")
-        reference = stats.norm.cdf
+        reference = ndtr
     if callable(reference):
         cdf = reference(np.sort(values))
         n = cdf.size
         return float(max((np.arange(1.0, n + 1) / n - cdf).max(),
                          (cdf - np.arange(0.0, n) / n).max()))
     other = reference.values if isinstance(reference, SampleDistribution) else np.asarray(reference, float)
-    return float(stats.ks_2samp(values, other).statistic)
+    from scipy.stats import ks_2samp
+
+    return float(ks_2samp(values, other).statistic)
 
 
 def confidence_interval(w: float, sigma2: float, n: int, alpha: float = 0.05,
@@ -238,7 +240,7 @@ def confidence_interval(w: float, sigma2: float, n: int, alpha: float = 0.05,
     if n < 1 or (m is not None and m < 1):
         raise ValueError("sample sizes must be at least 1")
     rate = np.sqrt(n * m / (n + m)) if m is not None else np.sqrt(n)
-    half = stats.norm.ppf(1.0 - alpha / 2.0) * np.sqrt(max(sigma2, 0.0)) / rate
+    half = ndtri(1.0 - alpha / 2.0) * np.sqrt(max(sigma2, 0.0)) / rate
     return float(w - half), float(w + half)
 
 
@@ -341,7 +343,7 @@ class MCCell:
     def qq_data(self):
         """(sorted standardized sample, matching standard normal quantiles)."""
         v = np.sort(self.sample.values)
-        q = stats.norm.ppf((np.arange(v.size) + 0.5) / v.size)
+        q = ndtri((np.arange(v.size) + 0.5) / v.size)
         return v, q
 
 

@@ -4,13 +4,14 @@ Two solvers compute the unique regularized plan: log-stabilized Sinkhorn
 scaling for the entropy penalty and a damped Newton iteration on the reduced
 dual system for any supported penalty. Both report the max-abs marginal
 residual as their convergence diagnostic. A Sinkhorn solve that stalls, as
-small regularization makes it do, is handed once to a warm entropy Newton
-(Brauer, Clason, Lorenz & Wirth 2017) and resumes Sinkhorn after one column
-update, or where it stalled when Newton fails. ``solve_replicates`` runs the
-warm Sinkhorn solves of a resampling loop together over one shared kernel,
-and its stalled replicates through one stacked Newton, and yields them as
-arrays: runs of plans on the loop's cost. ``solve_reduced`` is
-the entry point the rest of the package solves through. Every Newton step,
+small regularization makes it do, is handed to a warm entropy Newton
+(Brauer, Clason, Lorenz & Wirth 2017) and ends after one column update, or
+resumes Sinkhorn where it stalled when Newton fails, to be handed again after
+a window twice as long. ``solve_replicates`` runs the warm Sinkhorn solves
+of a resampling loop together over one shared kernel, and its stalled
+replicates through one stacked Newton, and yields them as arrays: runs of
+plans on the loop's cost. ``solve_reduced`` is the entry point the rest of
+the package solves through. Every Newton step,
 plan gradient and variance solves with the reduced marginal Gram matrix
 through one Cholesky factor, ``GramFactor``, of one plan or of a stack.
 
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy.optimize import linprog
 
 from . import regularizers as rg
 from ._util import positive_int, readonly_array, rng_for
@@ -40,10 +40,12 @@ DEFAULT_MAX_ITER = 100_000
 # |log u| threshold at which scaling factors are absorbed into the potentials
 _ABSORB_LOG = 200.0
 
-# A Sinkhorn solve stalls when, at a multiple of the window counted from its
-# warm start, its residual is above the ratio times the residual one window
-# earlier; it then leaves for a warm Newton once.
-_STALL_WINDOW = 50
+# A Sinkhorn solve stalls when, at the end of a window of iterations, its
+# residual is above the ratio times the residual at the window's start; it
+# then leaves for a warm Newton. Windows start where the solve does and are
+# the larger of _STALL_WINDOW and half the kernel's smaller side, as a Newton
+# step's Gram costs that many Sinkhorn sweeps; a failed Newton doubles it.
+_STALL_WINDOW = 10
 _STALL_RATIO = 0.5
 _NEWTON_STEPS = 30
 _PIVOT_FLOOR = 1e-10
@@ -56,9 +58,9 @@ class TransportPlan:
     """Strictly positive transport plan with marginals and solver diagnostics.
 
     ``iterations`` counts the solver's steps: Newton steps for ``newton_matrix``;
-    Sinkhorn iterations plus the steps of a stalled solve's Newton hand-off for
-    the entropy solvers, both charged against ``max_iter``. ``residual`` is the
-    max-abs marginal residual at exit.
+    Sinkhorn iterations plus the steps of a stalled solve's Newton hand-offs
+    for the entropy solvers, both charged against ``max_iter``. ``residual``
+    is the max-abs marginal residual at exit.
     """
 
     entries: np.ndarray  # (n_rows * n_cols,), row-major
@@ -137,6 +139,11 @@ def _check_problem(C, r, s, lam, tol, max_iter):
     return C, r, s
 
 
+def _first_window(n1, n2):
+    """Length of a stall watch's first window on an n1 x n2 kernel (or arrays of them)."""
+    return np.maximum(_STALL_WINDOW, np.minimum(n1, n2) // 2)
+
+
 def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None, resume=None):
     """Stabilized Sinkhorn scaling on raw arrays.
 
@@ -144,14 +151,17 @@ def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None, resume=None):
     safe magnitude window; a full log-domain update is used to recover from
     kernel underflow. The exit test is the row residual max|u K v - r|, the
     column residual too at iteration 0 of a warm start. A solve that stalls
-    (see ``_STALL_WINDOW``) runs one warm Newton from its current scalings
-    (``_newton_stack`` with a stack of one); a column update follows and the
-    exit test decides as usual. A Newton that fails leaves the scalings as
-    they were, and Sinkhorn goes on. Newton steps count as iterations.
-    ``resume`` = (iterations, reference) continues a solve begun elsewhere:
-    its iteration count and its residual at the last window boundary, None
-    once it has tried Newton. Returns (P, f, g, iterations, residual,
-    converged) and never raises on non-convergence.
+    (see ``_STALL_WINDOW``) runs a warm Newton from its current scalings
+    (``_newton_stack`` with a stack of one); a column update follows, the
+    exit test decides as usual and the solve is not watched again. A Newton
+    that fails leaves the scalings as they were, Sinkhorn goes on and the
+    watch re-arms from the residual at the stall with its window doubled.
+    Newton steps count as iterations. ``resume`` = (iterations, reference,
+    window, next check) continues a solve begun elsewhere: its iteration
+    count and its watch, the residual at the start of the current window,
+    the window's length and the count at which it ends (inf once a Newton
+    has succeeded). Returns (P, f, g, iterations, residual, converged) and
+    never raises on non-convergence.
     """
     n1, n2 = C.shape
     r = np.asarray(r, dtype=float)
@@ -185,9 +195,10 @@ def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None, resume=None):
     else:
         K = np.exp((f[:, None] + g[None, :] - C) / lam)
         it = 0
-    ref = np.inf
+    # the first check only takes the reference, at the solve's first iteration
+    ref, window, due = np.inf, _first_window(n1, n2), it
     if resume is not None:
-        it, ref = resume
+        it, ref, window, due = resume
 
     converged = False
     res = np.inf
@@ -201,15 +212,17 @@ def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None, resume=None):
             break
         if it >= max_iter:
             break
-        if ref is not None and it % _STALL_WINDOW == 0:
+        if it >= due:
             if res > _STALL_RATIO * ref:
-                ref = None
-                U, V, taken = _newton_stack(K, u[None], v[None], r[None], s[None], lam, tol,
-                                            min(_NEWTON_STEPS, max_iter - it))
+                U, V, taken, ok = _newton_stack(K, u[None], v[None], r[None], s[None], lam,
+                                                tol, min(_NEWTON_STEPS, max_iter - it))
                 u, v = U[0], V[0]
                 it += int(taken[0])
+                # a failed Newton re-arms the watch from the stall, over a window twice as long
+                window *= 2
+                ref, due = res, np.inf if ok[0] else it + window
                 continue
-            ref = res
+            ref, due = res, it + window
         it += 1
         if (Kv <= 0).any() or not np.isfinite(Kv).all():
             K = log_round()
@@ -248,9 +261,9 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, in
         Regularization strength, > 0.
     init : (f0, g0) pair, optional
         Warm-start potentials.
-    _resume : (iterations, reference), optional
+    _resume : (iterations, reference, window, next check), optional
         Continues a warm solve that ``solve_replicates`` began with that many
-        iterations and that stall state (see ``_sinkhorn_core``); ``max_iter``
+        iterations and that stall watch (see ``_sinkhorn_core``); ``max_iter``
         then bounds the whole solve.
 
     Returns
@@ -260,8 +273,8 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, in
     f, g : ndarray
         Dual potentials, with ``P = exp((f + g^T - C) / lam)``.
     iterations : int
-        Sinkhorn iterations, the ladder's included, plus the steps of a
-        Newton hand-off; Newton steps count against ``max_iter``.
+        Sinkhorn iterations, the ladder's included, plus the steps of the
+        Newton hand-offs; Newton steps count against ``max_iter``.
     residual : float
     """
     C, r, s = _check_problem(C, r, s, lam, tol, max_iter)
@@ -426,22 +439,26 @@ def _newton_stack(K, U, V, R, S, lam, tol, steps):
     backtracks row by row to an Armijo increase of the dual.
     A row succeeds once the plan after a column update v = s / (K^T u) meets
     ``tol`` on the row residual, and fails when its Gram is not positive
-    definite, its line search underflows or ``steps`` run out. Rows are taken in chunks of at most _STACK_ENTRIES plan
-    entries. Returns (U, V, taken): the Newton scalings with the column update
-    applied for rows that succeeded and the input scalings for rows that
-    failed, and the steps each row attempted.
+    definite, its line search underflows or its ``steps`` (a bound for every
+    row or one per row) run out. Rows are taken in chunks of at most
+    _STACK_ENTRIES plan entries. Returns (U, V, taken, ok): the Newton
+    scalings with the column update applied for rows that succeeded and the
+    input scalings for rows that failed, the steps each row attempted and
+    which rows succeeded.
     """
     size = max(1, _STACK_ENTRIES // K.size)
-    chunks = [_newton_chunk(K, *(x[lo:lo + size] for x in (U, V, R, S)), lam, tol, steps)
+    steps = np.broadcast_to(steps, len(U))
+    chunks = [_newton_chunk(K, *(x[lo:lo + size] for x in (U, V, R, S, steps)), lam, tol)
               for lo in range(0, len(U), size)]
     return tuple(np.concatenate(part) for part in zip(*chunks))
 
 
-def _newton_chunk(K, U, V, R, S, lam, tol, steps):
+def _newton_chunk(K, U, V, R, S, steps, lam, tol):
     """``_newton_stack`` on one chunk of rows."""
     B = len(U)
     U_out, V_out = U.copy(), V.copy()
     taken = np.zeros(B, dtype=int)
+    succeeded = np.zeros(B, dtype=bool)
     free = GramFactor.free_columns(S)
     idx = np.arange(B)  # rows still iterating, and their state:
     u, v, r, s, off_row = U, V, R, S, R <= 0
@@ -454,7 +471,8 @@ def _newton_chunk(K, U, V, R, S, lam, tol, steps):
             col = v * col_scale
             done = (fit <= tol) & (np.isfinite(col) & ((col > 0) | (s <= 0))).all(axis=1)
             U_out[idx[done]], V_out[idx[done]] = u[done], col[done]
-            keep = ~done & (taken[idx] < steps)
+            succeeded[idx[done]] = True
+            keep = ~done & (taken[idx] < steps[idx])
             idx, u, v, r, s, off_row, P, rsum, csum = (
                 a[keep] for a in (idx, u, v, r, s, off_row, P, rsum, csum))
             if not idx.size:
@@ -489,7 +507,7 @@ def _newton_chunk(K, U, V, R, S, lam, tol, steps):
                 trying = trying[~ok & (t[trying] >= 1e-14)]
             keep = pd & (t >= 1e-14)
             idx, u, v, r, s, off_row, P = (a[keep] for a in (idx, u, v, r, s, off_row, P))
-    return U_out, V_out, taken
+    return U_out, V_out, taken, succeeded
 
 
 def newton_matrix(reg: rg.Regularizer, C, r, s, lam, tol=DEFAULT_TOL, max_iter=200):
@@ -697,33 +715,42 @@ def _sinkhorn_batch(K, R, S, lam, tol, max_iter):
     with _HANDOFF, for ``_sinkhorn_core`` to absorb and finish, when its
     scalings leave the absorption window (the state after the update) or
     cannot be formed (the state before it, whose round the core redoes), and
-    when it is the last row running. The rows that stall at one window
-    boundary, by the core's test, run one ``_newton_stack`` together and skip
-    that round's update, as the core does; their counts add the Newton steps.
-    Returns the final (U, V), iteration counts, residuals, statuses and
-    residuals at the last window boundary (NaN once a row has tried Newton);
-    nothing larger than (B, n1 + n2) besides K and the Newton chunks.
+    when it is the last row running. Each row is watched for stalls as the
+    core watches a solve on the row's own support, so its path does not
+    depend on the rows beside it. The rows that stall at one iteration run one
+    ``_newton_stack`` together and skip that round's update, as the core
+    does; their counts add the Newton steps. Per-row watch state is read only
+    on iterations where some row's window ends. Returns the final (U, V),
+    iteration counts, residuals, statuses and watches (reference, window,
+    next check) in the core's terms; nothing larger than (B, n1 + n2)
+    besides K and the Newton chunks.
     """
+    B = R.shape[0]
     U_out = (R > 0).astype(float)
     V_out = (S > 0).astype(float)
-    iters = np.zeros(R.shape[0], dtype=int)
-    resid = np.zeros(R.shape[0])
-    status = np.full(R.shape[0], _HANDOFF)
-    refs = np.full(R.shape[0], np.inf)
+    iters = np.zeros(B, dtype=int)
+    resid = np.zeros(B)
+    status = np.full(B, _HANDOFF)
+    watches = np.zeros((B, 3))
     lo, hi = np.exp(-_ABSORB_LOG), np.exp(_ABSORB_LOG)
-    live = np.arange(R.shape[0])
+    live = np.arange(B)
     U, V, r_off, s_off = U_out, V_out, R <= 0, S <= 0
-    ref = refs.copy()
-    extra = np.zeros(R.shape[0], dtype=int)  # Newton steps less the updates they replaced
+    # each row's watch: reference, window and the loop iteration its window ends at
+    watch = np.zeros((B, 3))
+    watch[:, 0] = np.inf
+    watch[:, 1] = _first_window((R > 0).sum(axis=1), (S > 0).sum(axis=1))
+    soonest = 0  # no row's window ends before this iteration
+    extra = np.zeros(B, dtype=int)  # Newton steps less the updates they replaced
 
     def leave(mask, it, code):
-        nonlocal live, U, V, KV, R, S, r_off, s_off, res, ref, extra
+        nonlocal live, U, V, KV, R, S, r_off, s_off, res, watch, extra
         idx = live[mask]
-        U_out[idx], V_out[idx], status[idx], refs[idx] = U[mask], V[mask], code, ref[mask]
+        U_out[idx], V_out[idx], status[idx], watches[idx] = U[mask], V[mask], code, watch[mask]
         iters[idx] = (it + extra)[mask]
+        watches[idx, 2] += extra[mask]
         keep = ~mask
-        live, U, V, KV, R, S, r_off, s_off, res, ref, extra = (
-            x[keep] for x in (live, U, V, KV, R, S, r_off, s_off, res, ref, extra))
+        live, U, V, KV, R, S, r_off, s_off, res, watch, extra = (
+            x[keep] for x in (live, U, V, KV, R, S, r_off, s_off, res, watch, extra))
 
     it = 0
     with np.errstate(all="ignore"):  # zero or overflowing scalings hand the row off
@@ -739,10 +766,15 @@ def _sinkhorn_batch(K, R, S, lam, tol, max_iter):
                 leave(it + extra >= max_iter, it, _FAILED)
             if live.size <= 1:
                 break
-            stalled, ref_before = None, ref
-            if it % _STALL_WINDOW == 0:  # rows still watched have extra = 0
-                stalled = res > _STALL_RATIO * ref
-                ref = np.where(np.isnan(ref) | stalled, np.nan, res)
+            stalled, before = None, watch
+            if it >= soonest:  # some row's window ends: the core's test, row by row
+                due = watch[:, 2] <= it
+                stalled = due & (res > _STALL_RATIO * watch[:, 0])
+                watch = watch.copy()
+                watch[stalled, 1] *= 2  # should its Newton fail
+                # the next window starts here, or where the Newton of a stalled row ends
+                watch[due, 0], watch[due, 2] = res[due], it + stalled[due] + watch[due, 1]
+                soonest = watch[:, 2].min()
             it += 1
             U_old, V_old = U, V
             U = np.divide(R, KV, out=np.zeros_like(R), where=~r_off)
@@ -750,19 +782,21 @@ def _sinkhorn_batch(K, R, S, lam, tol, max_iter):
             out = ~((((U >= lo) & (U <= hi)) | r_off).all(axis=1)
                     & (((V >= lo) & (V <= hi)) | s_off).all(axis=1))
             if stalled is not None and stalled.any():
-                U[stalled], V[stalled], taken = _newton_stack(
+                U[stalled], V[stalled], taken, ok = _newton_stack(
                     K, U_old[stalled], V_old[stalled], R[stalled], S[stalled], lam, tol,
-                    min(_NEWTON_STEPS, max_iter - it + 1))
+                    np.minimum(_NEWTON_STEPS, max_iter - (it - 1 + extra[stalled])))
                 extra[stalled] += taken - 1
+                watch[np.flatnonzero(stalled)[ok], 2] = np.inf  # success ends the watch
                 out &= ~stalled
             if out.any():
                 formed = ((np.isfinite(U) & ((U > 0) | r_off)).all(axis=1)
                           & (np.isfinite(V) & ((V > 0) | s_off)).all(axis=1))
                 redo = out & ~formed
-                U[redo], V[redo], ref[redo] = U_old[redo], V_old[redo], ref_before[redo]
+                U[redo], V[redo], watch[redo] = U_old[redo], V_old[redo], before[redo]
                 leave(out, it - redo, _HANDOFF)
-        U_out[live], V_out[live], iters[live], refs[live] = U, V, it + extra, ref
-    return U_out, V_out, iters, resid, status, refs
+        U_out[live], V_out[live], iters[live], watches[live] = U, V, it + extra, watch
+        watches[live, 2] += extra
+    return U_out, V_out, iters, resid, status, watches
 
 
 def _normalized(W):
@@ -808,8 +842,8 @@ def solve_replicates(C, R, S, lam, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_I
     ru = np.flatnonzero((R[batch] > 0).any(axis=0))
     cu = np.flatnonzero((S[batch] > 0).any(axis=0))
     K = np.exp((f0[ru][:, None] + g0[cu][None, :] - C[np.ix_(ru, cu)]) / lam)
-    U, V, iters, resid, status, refs = _sinkhorn_batch(K, R[np.ix_(batch, ru)],
-                                                       S[np.ix_(batch, cu)], lam, tol, max_iter)
+    U, V, iters, resid, status, watches = _sinkhorn_batch(
+        K, R[np.ix_(batch, ru)], S[np.ix_(batch, cu)], lam, tol, max_iter)
     slot = np.full(len(R), -1)
     slot[batch] = np.arange(batch.size)
     state = np.full(len(R), _HANDOFF)
@@ -831,10 +865,10 @@ def solve_replicates(C, R, S, lam, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_I
             try:
                 if state[k] == _FAILED:
                     raise _sinkhorn_failure(tol, max_iter, float(resid[i]), int(iters[i]))
-                if i >= 0:  # leaves the batch with its absorbed potentials and stall state
+                if i >= 0:  # leaves the batch with its absorbed potentials and stall watch
                     warm = (f0[rows] + lam * np.log(U[i, np.searchsorted(ru, rows)]),
                             g0[cols] + lam * np.log(V[i, np.searchsorted(cu, cols)]))
-                    watch = (int(iters[i]), None if np.isnan(refs[i]) else float(refs[i]))
+                    watch = (int(iters[i]), *watches[i])
                 P[b][np.ix_(rows, cols)], _, _, counts[b], _ = sinkhorn_matrix(
                     C[np.ix_(rows, cols)], R[k, rows], S[k, cols], lam, tol=tol,
                     max_iter=max_iter, init=warm, _resume=watch)
@@ -894,6 +928,8 @@ def exact_ot_baseline(c: CostVector, r: Prob, s: Prob) -> ExactBaseline:
     rv = rw[rows] / rw[rows].sum()
     sv = sw[cols] / sw[cols].sum()
     n1, n2 = rows.size, cols.size
+
+    from scipy.optimize import linprog
 
     A = ConstraintOperator(n1, n2).materialize_reduced()
     res = linprog(C.ravel(), A_eq=A, b_eq=np.concatenate([rv, sv[:-1]]),

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ._util import readonly_array
 
@@ -115,6 +114,8 @@ def cost_from_metric(space: GroundSpace, p: float = 1.0, metric="euclidean") -> 
     if isinstance(metric, str):
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+        from scipy.spatial.distance import cdist
+
         d = cdist(space.points, space.points, metric=metric)
     else:
         d = np.asarray(metric, dtype=float)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rotinf
 from rotinf.cli import main
 
 E_DIV = 1.0 / (1.0 + np.e)  # divergence of the symmetric two-point fixture
@@ -565,3 +569,14 @@ def test_rcol_bad_cost_power_exits_2(runner, tmp_path, power):
                                   "--seed", "7", "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert "cost power p" in result.output
+
+
+def test_cli_import_leaves_unused_scipy_modules_unloaded():
+    # every `rot` call pays for what `import rotinf.cli` loads; the statistics,
+    # optimization and spatial modules wait for the functions that use them
+    src = os.path.dirname(os.path.dirname(rotinf.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import rotinf.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'stats'], ['scipy', 'optimize'], ['scipy', 'spatial'])))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

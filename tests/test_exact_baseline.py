@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-import rotinf.solver as sv
 from rotinf import CostVector, GroundSpace, NumericalError, Prob, build_grid_space
 from rotinf import cost_from_metric, exact_ot_baseline
 from rotinf.space import ConstraintOperator
@@ -84,7 +84,8 @@ def test_cyclic_plan_support_is_refused(monkeypatch):
     def uniform_plan(c, **kwargs):
         return SimpleNamespace(success=True, fun=0.0, x=np.full(4, 0.25), message="")
 
-    monkeypatch.setattr(sv, "linprog", uniform_plan)
+    # the baseline imports linprog from scipy.optimize when it is called
+    monkeypatch.setattr(scipy.optimize, "linprog", uniform_plan)
     c = CostVector(entries=np.zeros(4), p=1.0, c_max=0.0)
     half = Prob([0.5, 0.5])
     with pytest.raises(NumericalError, match="support has a cycle"):

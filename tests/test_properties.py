@@ -314,9 +314,9 @@ def recorded_newton(monkeypatch):
     real = sv._newton_stack
 
     def recorded(K, U, V, *args):
-        U_new, V_new, taken = real(K, U, V, *args)
-        outcomes.extend(zip((U_new == U).all(axis=1).tolist(), taken.tolist()))
-        return U_new, V_new, taken
+        U_new, V_new, taken, ok = real(K, U, V, *args)
+        outcomes.extend(zip((~ok).tolist(), taken.tolist()))
+        return U_new, V_new, taken, ok
 
     monkeypatch.setattr(sv, "_newton_stack", recorded)
     return outcomes
@@ -324,47 +324,58 @@ def recorded_newton(monkeypatch):
 
 def test_failed_newton_falls_back_to_sinkhorn(monkeypatch):
     # at lam = 0.002 the cross entries of the first two plans have underflowed
-    # below 1e-190 when they stall, so their Grams are singular: Newton fails
-    # at its first step, and Sinkhorn resumes where it stalled and finishes
-    # them, or fails the second at the lower max_iter. The last replicate's
-    # Newton succeeds. Batched and looped solves take the same path.
+    # below 1e-190 when they stall, so their Grams are singular: each Newton
+    # fails at its first step, Sinkhorn resumes where it stalled and the next
+    # Newton comes a window twice as long later. Sinkhorn finishes them, or
+    # fails the second at the lower max_iter. The last replicate's Newton
+    # succeeds. Batched and looped solves take the same path.
     C = 1.0 - np.eye(3)
     third = np.full(3, 1.0 / 3.0)
     warm = solve_reduced(C, third, third, 0.002, p=1.0).potentials
     R = np.array([[0.0, 0.1, 0.9], [0.2, 0.3, 0.5], [0.0, 0.1, 0.9]])
     S = np.array([[0.0, 0.9, 0.1], [0.3, 0.3, 0.4], [0.3, 0.1, 0.6]])
     outcomes = recorded_newton(monkeypatch)
-    for max_iter in (sv.DEFAULT_MAX_ITER, 300):
+    for max_iter, failures in ((sv.DEFAULT_MAX_ITER, 9), (300, 7)):
         batched = solved_replicates(C, R, S, 0.002, warm, max_iter=max_iter)
         in_batch = sorted(outcomes)
         outcomes.clear()
         looped = looped_solves(C, R, S, 0.002, warm, max_iter)
-        assert in_batch == sorted(outcomes) == [(False, 14), (True, 1), (True, 1)]
+        assert in_batch == sorted(outcomes) == [(False, 16)] + [(True, 1)] * failures
         outcomes.clear()
         assert_same_solves(batched, looped)
-    assert [count for _, _, _, count, _ in batched[::2]] == [120, 114]
+    assert [count for _, _, _, count, _ in batched[::2]] == [122, 36]
     assert isinstance(batched[1][4], ConvergenceError) and batched[1][4].iterations == 300
-    # the last replicate stalls at iteration 100 and needs 14 Newton steps; with
+    # the first replicate's windows are 10, 20 and 40 iterations: it stalls at
+    # iteration 10, and its Newtons, one step each, end at 11, 32 and 73
+    attempts = []
+    for max_iter in (10, 11, 31, 32, 72, 73):
+        looped_solves(C, R[:1], S[:1], 0.002, warm, max_iter)
+        attempts.append(len(outcomes))
+        outcomes.clear()
+    assert attempts == [0, 1, 1, 2, 2, 3]
+    # the last replicate stalls at iteration 20 and needs 16 Newton steps; with
     # fewer left its Newton falls back too, and the solve fails at max_iter
     # with the residual it stalled at
     at_stall, cut_short = ([err for *_, err in solved_replicates(C, R[[2, 2]], S[[2, 2]], 0.002,
                                                                  warm, max_iter=max_iter)]
-                           for max_iter in (100, 113))
-    assert cut_short[0].iterations == 113
+                           for max_iter in (20, 35))
+    assert cut_short[0].iterations == 35
     assert cut_short[0].residual == at_stall[0].residual == at_stall[1].residual
 
 
 def test_newton_failing_midway_falls_back_to_where_it_stalled(monkeypatch):
-    # at lam = 0.02 these Newtons move for two steps and fail at the third
+    # at lam = 0.02 these Newtons fail at their first step, then, a window twice
+    # as long later, move for three steps and fail at the fourth; the third
+    # Newton, another window later, succeeds
     C = 1.0 - np.eye(3)
     third = np.full(3, 1.0 / 3.0)
     warm = solve_reduced(C, third, third, 0.02, p=1.0).potentials
     R = np.array([[0.1, 0.4, 0.5], [0.4, 0.5, 0.1]])
-    S = np.array([[0.1, 0.3, 0.6], [0.3, 0.6, 0.1]])
+    S = np.array([[0.2, 0.3, 0.5], [0.3, 0.5, 0.2]])
     outcomes = recorded_newton(monkeypatch)
     batched = solved_replicates(C, R, S, 0.02, warm)
-    assert outcomes == [(True, 3), (True, 3)]
-    assert [count for _, _, _, count, _ in batched] == [148, 148]
+    assert outcomes == [(True, 1), (True, 1), (True, 4), (True, 4), (False, 5), (False, 5)]
+    assert [count for _, _, _, count, _ in batched] == [130, 130]
     assert_same_solves(batched, looped_solves(C, R, S, 0.02, warm, sv.DEFAULT_MAX_ITER))
 
 

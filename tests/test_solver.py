@@ -13,7 +13,7 @@ from rotinf import (ConvergenceError, CostVector, GroundSpace, Prob,
                     ot_limit_sample, sinkhorn_entropy, solve_general,
                     solve_reduced)
 from rotinf._util import rng_for
-from rotinf.inference import dirichlet_sample
+from rotinf.inference import dirichlet_sample, sinkhorn_statistic
 from rotinf.solver import DEFAULT_TOL, newton_matrix, sinkhorn_matrix
 
 from conftest import random_instance
@@ -96,6 +96,31 @@ def test_small_lambda_population_stall_finishes_in_newton():
     assert np.abs(P.sum(axis=0) - r).max() <= 1e-15
 
 
+def test_newton_that_cannot_factor_its_gram_is_tried_again(monkeypatch):
+    # a criterion-6 loop on the 2 x 2 grid at lambda0 = 0.02, n = 100 and tol
+    # 1e-8: every replicate first stalls where its Gram cannot be factored, so
+    # its first Newton stops at its first step. Tried again, each a window
+    # twice as long later, Newtons finish replicates 14 and 2 in 319 and 2,000
+    # iterations; with one try both spend all 20,000 and end at residual 7.5e-5
+    outcomes = []
+    real = sv._newton_stack
+
+    def recorded(*args):
+        U, V, taken, ok = real(*args)
+        outcomes.extend(zip(taken.tolist(), ok.tolist()))
+        return U, V, taken, ok
+
+    monkeypatch.setattr(sv, "_newton_stack", recorded)
+    c = cost_from_metric(build_grid_space(2, 1.0), p=1.0)
+    r = dirichlet_sample(1.0, 4, rng_for(5004, 0))
+    lam = 0.02 * cost_quantile(c, 0.5)
+    sample = sinkhorn_statistic(r, r, c, lam, n=100, replicates=15, seed=5004,
+                                studentize=False, tol=1e-8, max_iter=20_000)
+    assert np.isfinite(sample.values).all()
+    assert outcomes[:15] == [(1, False)] * 15
+    assert any(ok for _, ok in outcomes)
+
+
 def test_warm_start_checks_both_marginals():
     # the warm plan's rows already match r, so only its columns tell it from
     # the plan to (r, s); a warm solve must not return it unchanged
@@ -109,14 +134,27 @@ def test_warm_start_checks_both_marginals():
         assert np.abs(P.sum(axis=1) - third).max() <= DEFAULT_TOL
 
 
-def test_newton_agrees_with_sinkhorn():
+def test_newton_agrees_with_sinkhorn(monkeypatch):
+    # at 0.1 and 0.05 times the median cost Sinkhorn stalls on the N = 10
+    # instance and hands the solve to its warm Newton, which must agree too
+    handoffs = []
+    real = sv._newton_stack
+
+    def counted(*args):
+        handoffs.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(sv, "_newton_stack", counted)
     rng = np.random.default_rng(2)
-    for N in (2, 5, 10):
+    for N, factors in ((2, [1.5]), (5, [1.5]), (10, [1.5, 0.1, 0.05])):
         c, r, s = random_instance(rng, N)
-        lam = 1.5 * cost_quantile(c, 0.5)
-        a = sinkhorn_entropy(c, r, s, lam, tol=1e-11)
-        b = solve_general(rg.entropy(), c, r, s, lam, tol=1e-11)
-        assert np.abs(a.entries - b.entries).max() < 1e-7
+        for factor in factors:
+            lam = factor * cost_quantile(c, 0.5)
+            handoffs.clear()
+            a = sinkhorn_entropy(c, r, s, lam, tol=1e-11)
+            assert bool(handoffs) == (factor < 1.0)
+            b = solve_general(rg.entropy(), c, r, s, lam, tol=1e-11)
+            assert np.abs(a.entries - b.entries).max() < 1e-7
 
 
 def test_entropy_solvers_run_different_methods(monkeypatch):
