@@ -3,7 +3,9 @@
 Two solvers compute the unique regularized plan: log-stabilized Sinkhorn
 scaling for the entropy penalty and a damped Newton iteration on the reduced
 dual system for any supported penalty. Both report the max-abs marginal
-residual as their convergence diagnostic. A Sinkhorn solve that stalls, as
+residual as their convergence diagnostic. One loop, ``_sinkhorn_stack``,
+runs every Sinkhorn iteration, for a stack of marginal pairs over one
+kernel; a single solve is a stack of one. A Sinkhorn solve that stalls, as
 small regularization makes it do, is handed to a warm entropy Newton
 (Brauer, Clason, Lorenz & Wirth 2017) and ends after one column update, or
 resumes Sinkhorn where it stalled when Newton fails, to be handed again after
@@ -11,9 +13,9 @@ a window twice as long. ``solve_replicates`` runs the warm Sinkhorn solves
 of a resampling loop together over one shared kernel, and its stalled
 replicates through one stacked Newton, and yields them as arrays: runs of
 plans on the loop's cost. ``solve_reduced`` is the entry point the rest of
-the package solves through. Every Newton step,
-plan gradient and variance solves with the reduced marginal Gram matrix
-through one Cholesky factor, ``GramFactor``, of one plan or of a stack.
+the package solves through. Every Newton step, plan gradient and variance
+solves with the reduced marginal Gram matrix through one Cholesky factor,
+``GramFactor``, of one plan or of a stack.
 
 The exact baseline solves the unregularized linear program on tiny instances
 with the dual simplex and reads every optimal dual vertex off the basic plan
@@ -37,8 +39,8 @@ from .space import SIMPLEX_ATOL, ConstraintOperator, CostVector, Prob
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
 
-# |log u| threshold at which scaling factors are absorbed into the potentials
-_ABSORB_LOG = 200.0
+# the window [e^-200, e^200] outside which scaling factors are absorbed into the potentials
+_ABSORB_LO, _ABSORB_HI = np.exp(-200.0), np.exp(200.0)
 
 # A Sinkhorn solve stalls when, at the end of a window of iterations, its
 # residual is above the ratio times the residual at the window's start; it
@@ -139,109 +141,63 @@ def _check_problem(C, r, s, lam, tol, max_iter):
     return C, r, s
 
 
-def _first_window(n1, n2):
-    """Length of a stall watch's first window on an n1 x n2 kernel (or arrays of them)."""
-    return np.maximum(_STALL_WINDOW, np.minimum(n1, n2) // 2)
+def _check_init(init, shape):
+    """Warm-start potentials (f0, g0) as float arrays, refused before any iteration
+    unless finite and sized to the sides of a cost of that shape."""
+    f0, g0 = (np.asarray(x, dtype=float) for x in init)
+    if (f0.shape, g0.shape) != ((shape[0],), (shape[1],)):
+        raise ValueError(f"warm-start potentials of shapes {f0.shape} and {g0.shape} do not "
+                         f"match the {shape[0]} x {shape[1]} cost matrix")
+    if not (np.isfinite(f0).all() and np.isfinite(g0).all()):
+        raise ValueError("warm-start potentials must be finite")
+    return f0, g0
+
+
+def _new_watch(n1, n2):
+    """Fresh stall watches (reference, window, next check) for solves on n1 x n2
+    supports (arrays of them): no reference yet, a first window of
+    max(_STALL_WINDOW, min(n1, n2) // 2) iterations, and a check at once."""
+    watch = np.zeros((np.size(n1), 3))
+    watch[:, 0] = np.inf
+    watch[:, 1] = np.maximum(_STALL_WINDOW, np.minimum(n1, n2) // 2)
+    return watch
 
 
 def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None, resume=None):
-    """Stabilized Sinkhorn scaling on raw arrays.
+    """Stabilized Sinkhorn scaling on raw arrays: ``_sinkhorn_stack`` on a stack of one.
 
-    Scaling factors are absorbed into the potentials (f, g) once they leave a
-    safe magnitude window; a full log-domain update is used to recover from
-    kernel underflow. The exit test is the row residual max|u K v - r|, the
-    column residual too at iteration 0 of a warm start. A solve that stalls
-    (see ``_STALL_WINDOW``) runs a warm Newton from its current scalings
-    (``_newton_stack`` with a stack of one); a column update follows, the
-    exit test decides as usual and the solve is not watched again. A Newton
-    that fails leaves the scalings as they were, Sinkhorn goes on and the
-    watch re-arms from the residual at the stall with its window doubled.
-    Newton steps count as iterations. ``resume`` = (iterations, reference,
-    window, next check) continues a solve begun elsewhere: its iteration
-    count and its watch, the residual at the start of the current window,
-    the window's length and the count at which it ends (inf once a Newton
-    has succeeded). Returns (P, f, g, iterations, residual, converged) and
-    never raises on non-convergence.
+    The kernel is exp((f + g - C) / lam). A cold start (no f) builds it by a
+    full log-domain round, and so does an update that cannot be formed (as
+    when the kernel underflows); scalings that leave the absorption window
+    are absorbed into (f, g) and the kernel rebuilt. Each time the solve goes
+    back into the loop with its iteration count and stall watch. ``resume`` =
+    (iterations, reference, window, next check) continues a solve begun
+    elsewhere with that count and watch (see ``_sinkhorn_stack``). Returns
+    (P, f, g, iterations, residual, converged) and never raises on
+    non-convergence.
     """
     n1, n2 = C.shape
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    cold = f is None
-    f = np.zeros(n1) if cold else np.array(f, dtype=float)
+    r = np.asarray(r, dtype=float)[None]
+    s = np.asarray(s, dtype=float)[None]
+    status = _UNFORMED if f is None else _ABSORB
+    f = np.zeros(n1) if f is None else np.array(f, dtype=float)
     g = np.zeros(n2) if g is None else np.array(g, dtype=float)
-    logr = np.log(r)
-    logs = np.log(s)
-    u = np.ones(n1)
-    v = np.ones(n2)
-
-    def absorb():
-        nonlocal f, g, u, v
+    it, watch = (0, _new_watch(n1, n2)) if resume is None else (resume[0], np.array([resume[1:]]))
+    ones = np.ones((1, n1)), np.ones((1, n2))
+    while True:
+        if status == _UNFORMED:  # one full Sinkhorn round carried out in the log domain
+            f = lam * (np.log(r[0]) - _logsumexp((g[None, :] - C) / lam, axis=1))
+            g = lam * (np.log(s[0]) - _logsumexp((f[:, None] - C) / lam, axis=0))
+            it += 1
+        K = np.exp((f[:, None] + g[None, :] - C) / lam)
+        (u,), (v,), (it,), (res,), (status,), watch = _sinkhorn_stack(
+            K, *ones, r, s, lam, tol, max_iter, np.array([it]), watch)
+        if status in (_DONE, _FAILED):
+            break
         f = f + lam * np.log(u)
         g = g + lam * np.log(v)
-        u = np.ones(n1)
-        v = np.ones(n2)
-
-    def log_round():
-        # one full Sinkhorn round carried out in the log domain
-        nonlocal f, g
-        absorb()
-        f = lam * (logr - _logsumexp((g[None, :] - C) / lam, axis=1))
-        g = lam * (logs - _logsumexp((f[:, None] - C) / lam, axis=0))
-        return np.exp((f[:, None] + g[None, :] - C) / lam)
-
-    if cold:
-        K = log_round()
-        it = 1
-    else:
-        K = np.exp((f[:, None] + g[None, :] - C) / lam)
-        it = 0
-    # the first check only takes the reference, at the solve's first iteration
-    ref, window, due = np.inf, _first_window(n1, n2), it
-    if resume is not None:
-        it, ref, window, due = resume
-
-    converged = False
-    res = np.inf
-    while True:
-        Kv = K @ v
-        res = float(np.abs(u * Kv - r).max())
-        if it == 0:  # a warm start has no column update behind it yet
-            res = max(res, float(np.abs(v * (K.T @ u) - s).max()))
-        if res <= tol:
-            converged = True
-            break
-        if it >= max_iter:
-            break
-        if it >= due:
-            if res > _STALL_RATIO * ref:
-                U, V, taken, ok = _newton_stack(K, u[None], v[None], r[None], s[None], lam,
-                                                tol, min(_NEWTON_STEPS, max_iter - it))
-                u, v = U[0], V[0]
-                it += int(taken[0])
-                # a failed Newton re-arms the watch from the stall, over a window twice as long
-                window *= 2
-                ref, due = res, np.inf if ok[0] else it + window
-                continue
-            ref, due = res, it + window
-        it += 1
-        if (Kv <= 0).any() or not np.isfinite(Kv).all():
-            K = log_round()
-            continue
-        u = r / Kv
-        KTu = K.T @ u
-        if (KTu <= 0).any() or not np.isfinite(KTu).all():
-            K = log_round()
-            continue
-        v = s / KTu
-        lu = np.abs(np.log(u)).max()
-        lv = np.abs(np.log(v)).max()
-        if max(lu, lv) > _ABSORB_LOG:
-            absorb()
-            K = np.exp((f[:, None] + g[None, :] - C) / lam)
-
     P = (u[:, None] * K) * v[None, :]
-    absorb()
-    return P, f, g, it, res, converged
+    return P, f + lam * np.log(u), g + lam * np.log(v), int(it), float(res), status == _DONE
 
 
 def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, init=None,
@@ -262,9 +218,10 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, in
     init : (f0, g0) pair, optional
         Warm-start potentials.
     _resume : (iterations, reference, window, next check), optional
-        Continues a warm solve that ``solve_replicates`` began with that many
-        iterations and that stall watch (see ``_sinkhorn_core``); ``max_iter``
-        then bounds the whole solve.
+        Continues a warm solve that left the stack of ``solve_replicates``,
+        from its absorbed potentials, with that many iterations and that
+        stall watch (see ``_sinkhorn_stack``); ``max_iter`` then bounds the
+        whole solve.
 
     Returns
     -------
@@ -278,6 +235,7 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, in
     residual : float
     """
     C, r, s = _check_problem(C, r, s, lam, tol, max_iter)
+    f0, g0 = (None, None) if init is None else _check_init(init, C.shape)
     n1, n2 = C.shape
     if n1 == 1 or n2 == 1:
         # a single row or column leaves no freedom; the product plan is exact
@@ -287,9 +245,6 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, in
         g = Z[0, :] - Z[0, -1]
         return P, f, g, 0, 0.0
 
-    f0 = g0 = None
-    if init is not None:
-        f0, g0 = init
     span = float(C.max() - C.min())
     ladder_iters = 0
     if init is None and lam < span / 25.0:
@@ -433,8 +388,10 @@ def _reduced_gram(W):
 def _newton_stack(K, U, V, R, S, lam, tol, steps):
     """Warm entropy Newton for a stack of plans diag(U[b]) K diag(V[b]) on one kernel.
 
-    Row b of ``U`` (B, n1) and ``V`` (B, n2) holds Sinkhorn scalings, zero off
-    the support of its marginals R[b] and S[b]. Each step solves the row-block
+    ``_sinkhorn_stack`` calls it for the rows that stall at one iteration; a
+    single solve's stall is a stack of one. Row b of ``U`` (B, n1) and ``V``
+    (B, n2) holds Sinkhorn scalings, zero off the support of its marginals
+    R[b] and S[b]. Each step solves the row-block
     Schur systems of every row at once through one ``GramFactor`` and
     backtracks row by row to an Armijo increase of the dual.
     A row succeeds once the plan after a column update v = s / (K^T u) meets
@@ -686,7 +643,8 @@ def solve_reduced(cost, r_weights, s_weights, lam, reg: rg.Regularizer | None = 
     potentials = None
     if reg is None or reg.kind == "entropy":
         if init is not None:
-            init = (np.asarray(init[0])[rows], np.asarray(init[1])[cols])
+            f0, g0 = _check_init(init, C.shape)
+            init = (f0[rows], g0[cols])
         P, f, g, it, res = sinkhorn_matrix(C_red, r_red.weights, s_red.weights, lam,
                                            tol=tol, max_iter=max_iter, init=init)
         reg = rg.entropy()
@@ -703,100 +661,111 @@ def solve_reduced(cost, r_weights, s_weights, lam, reg: rg.Regularizer | None = 
                            potentials=potentials)
 
 
-_DONE, _HANDOFF, _FAILED = 0, 1, 2
+_DONE, _FAILED, _ABSORB, _UNFORMED = range(4)
 
 
-def _sinkhorn_batch(K, R, S, lam, tol, max_iter):
-    """Sinkhorn scaling of many marginal pairs, the rows of R and S, over one kernel.
+def _sinkhorn_stack(K, U, V, R, S, lam, tol, max_iter, iters, watch):
+    """Sinkhorn scaling of a stack of marginal pairs, the rows of R and S, over one kernel.
 
-    Every row starts at u, v = 1 on its support and 0 off it, and all rows
-    advance together. A row leaves with status _DONE at the iteration where
-    max|u K v - r| reaches tol and _FAILED once max_iter is spent. It leaves
-    with _HANDOFF, for ``_sinkhorn_core`` to absorb and finish, when its
-    scalings leave the absorption window (the state after the update) or
-    cannot be formed (the state before it, whose round the core redoes), and
-    when it is the last row running. Each row is watched for stalls as the
-    core watches a solve on the row's own support, so its path does not
-    depend on the rows beside it. The rows that stall at one iteration run one
-    ``_newton_stack`` together and skip that round's update, as the core
-    does; their counts add the Newton steps. Per-row watch state is read only
-    on iterations where some row's window ends. Returns the final (U, V),
-    iteration counts, residuals, statuses and watches (reference, window,
-    next check) in the core's terms; nothing larger than (B, n1 + n2)
-    besides K and the Newton chunks.
+    This is the only Sinkhorn iteration: ``_sinkhorn_core`` runs a single
+    solve through it as a stack of one. Row b starts from the scalings U[b]
+    and V[b], zero off the support of R[b] and S[b], at iteration count
+    iters[b] with stall watch watch[b] = (reference, window, next check): the
+    residual at the start of its current window, the window's length and the
+    count at which the window ends, inf once a Newton has succeeded. All rows
+    advance together, and a row's path depends on its own state alone.
+
+    The exit test is the row residual max|u K v - r|, the column residual too
+    at count 0. A row leaves with status _DONE when it meets ``tol``,
+    _FAILED when its count reaches ``max_iter``, _ABSORB after an update that
+    takes a scaling out of [e^-200, e^200] (to be absorbed into the
+    potentials), and _UNFORMED, with the scalings and count from before, when
+    its update cannot be formed (a zero, infinite or NaN scaling). At the end
+    of a window, a residual above _STALL_RATIO times the one at its start is
+    a stall: the rows that stall at one iteration run one ``_newton_stack``
+    in place of that update, and its steps count as iterations. A Newton
+    that succeeds ends the watch; one that fails leaves the scalings as they
+    were, and the watch re-arms from the residual at the stall with its
+    window doubled. Returns (U, V, iterations, residuals, statuses, watches).
     """
-    B = R.shape[0]
-    U_out = (R > 0).astype(float)
-    V_out = (S > 0).astype(float)
-    iters = np.zeros(B, dtype=int)
-    resid = np.zeros(B)
-    status = np.full(B, _HANDOFF)
-    watches = np.zeros((B, 3))
-    lo, hi = np.exp(-_ABSORB_LOG), np.exp(_ABSORB_LOG)
-    live = np.arange(B)
-    U, V, r_off, s_off = U_out, V_out, R <= 0, S <= 0
-    # each row's watch: reference, window and the loop iteration its window ends at
-    watch = np.zeros((B, 3))
-    watch[:, 0] = np.inf
-    watch[:, 1] = _first_window((R > 0).sum(axis=1), (S > 0).sum(axis=1))
-    soonest = 0  # no row's window ends before this iteration
-    extra = np.zeros(B, dtype=int)  # Newton steps less the updates they replaced
+    B = len(R)
+    U_out, V_out, watch_out = np.empty_like(U), np.empty_like(V), np.empty((B, 3))
+    iters_out, resid, status = np.empty(B, dtype=int), np.empty(B), np.empty(B, dtype=int)
+    lo, hi = _ABSORB_LO, _ABSORB_HI
+    r_off, s_off = R <= 0, S <= 0
+    masked = r_off.any() or s_off.any()
+    # the rows running and their state; a row's count is the loop's plus its base
+    live, base, watch = np.arange(B), np.array(iters), np.array(watch, dtype=float)
 
-    def leave(mask, it, code):
-        nonlocal live, U, V, KV, R, S, r_off, s_off, res, watch, extra
+    def leave(mask, code, step):
+        nonlocal live, U, V, KV, R, S, r_off, s_off, res, base, watch
         idx = live[mask]
-        U_out[idx], V_out[idx], status[idx], watches[idx] = U[mask], V[mask], code, watch[mask]
-        iters[idx] = (it + extra)[mask]
-        watches[idx, 2] += extra[mask]
+        U_out[idx], V_out[idx], status[idx], resid[idx] = U[mask], V[mask], code, res[mask]
+        iters_out[idx], watch_out[idx] = step + base[mask], watch[mask]
+        if idx.size == live.size:
+            live = idx[:0]
+            return
         keep = ~mask
-        live, U, V, KV, R, S, r_off, s_off, res, watch, extra = (
-            x[keep] for x in (live, U, V, KV, R, S, r_off, s_off, res, watch, extra))
+        live, U, V, KV, R, S, r_off, s_off, res, base, watch = (
+            x[keep] for x in (live, U, V, KV, R, S, r_off, s_off, res, base, watch))
 
-    it = 0
-    with np.errstate(all="ignore"):  # zero or overflowing scalings hand the row off
-        while live.size > 1:
+    it, soonest = 0, 0  # no row's window or budget ends before loop count soonest
+    with np.errstate(all="ignore"):  # zero or overflowing scalings leave the loop
+        while live.size:
             KV = V @ K.T
             res = np.abs(U * KV - R).max(axis=1)
-            if it == 0:  # as in the core, the warm start's columns count too
-                res = np.maximum(res, np.abs(V * (U @ K) - S).max(axis=1))
-            resid[live] = res
-            if (res <= tol).any():
-                leave(res <= tol, it, _DONE)
-            if live.size and it + extra.max() >= max_iter:
-                leave(it + extra >= max_iter, it, _FAILED)
-            if live.size <= 1:
-                break
-            stalled, before = None, watch
-            if it >= soonest:  # some row's window ends: the core's test, row by row
-                due = watch[:, 2] <= it
+            if it == 0:  # a row at count 0 has no column update behind it yet
+                np.maximum(res, np.abs(V * (U @ K) - S).max(axis=1), out=res, where=base == 0)
+            if res.min() <= tol:
+                leave(res <= tol, _DONE, it)
+                if not live.size:
+                    break
+            stalled = None
+            if it >= soonest:
+                failed = it + base >= max_iter
+                if failed.any():
+                    leave(failed, _FAILED, it)
+                    if not live.size:
+                        break
+                count = it + base
+                due = watch[:, 2] <= count
                 stalled = due & (res > _STALL_RATIO * watch[:, 0])
-                watch = watch.copy()
                 watch[stalled, 1] *= 2  # should its Newton fail
                 # the next window starts here, or where the Newton of a stalled row ends
-                watch[due, 0], watch[due, 2] = res[due], it + stalled[due] + watch[due, 1]
-                soonest = watch[:, 2].min()
+                watch[due, 0], watch[due, 2] = res[due], count[due] + watch[due, 1]
             it += 1
             U_old, V_old = U, V
-            U = np.divide(R, KV, out=np.zeros_like(R), where=~r_off)
-            V = np.divide(S, U @ K, out=np.zeros_like(S), where=~s_off)
+            if masked:
+                U = np.divide(R, KV, out=np.zeros_like(R), where=~r_off)
+                V = np.divide(S, U @ K, out=np.zeros_like(S), where=~s_off)
+            else:
+                U = R / KV
+                V = S / (U @ K)
+            if stalled is not None:
+                if stalled.any():
+                    U[stalled], V[stalled], taken, ok = _newton_stack(
+                        K, U_old[stalled], V_old[stalled], R[stalled], S[stalled], lam, tol,
+                        np.minimum(_NEWTON_STEPS, max_iter - count[stalled]))
+                    base[stalled] += taken - 1
+                    watch[stalled, 2] += taken
+                    watch[np.flatnonzero(stalled)[ok], 2] = np.inf  # success ends the watch
+                soonest = (np.minimum(watch[:, 2], max_iter) - base).min()
+            if masked:
+                inside = lo <= (U + r_off).min() and lo <= (V + s_off).min()
+            else:
+                inside = lo <= U.min() and lo <= V.min()
+            if inside and U.max() <= hi and V.max() <= hi:
+                continue
             out = ~((((U >= lo) & (U <= hi)) | r_off).all(axis=1)
                     & (((V >= lo) & (V <= hi)) | s_off).all(axis=1))
-            if stalled is not None and stalled.any():
-                U[stalled], V[stalled], taken, ok = _newton_stack(
-                    K, U_old[stalled], V_old[stalled], R[stalled], S[stalled], lam, tol,
-                    np.minimum(_NEWTON_STEPS, max_iter - (it - 1 + extra[stalled])))
-                extra[stalled] += taken - 1
-                watch[np.flatnonzero(stalled)[ok], 2] = np.inf  # success ends the watch
+            if stalled is not None:
                 out &= ~stalled
             if out.any():
                 formed = ((np.isfinite(U) & ((U > 0) | r_off)).all(axis=1)
                           & (np.isfinite(V) & ((V > 0) | s_off)).all(axis=1))
-                redo = out & ~formed
-                U[redo], V[redo], watch[redo] = U_old[redo], V_old[redo], before[redo]
-                leave(out, it - redo, _HANDOFF)
-        U_out[live], V_out[live], iters[live], watches[live] = U, V, it + extra, watch
-        watches[live, 2] += extra
-    return U_out, V_out, iters, resid, status, watches
+                U[~formed], V[~formed] = U_old[~formed], V_old[~formed]
+                leave(out, np.where(formed, _ABSORB, _UNFORMED)[out], it - 1 + formed[out])
+    return U_out, V_out, iters_out, resid, status, watch_out
 
 
 def _normalized(W):
@@ -820,33 +789,39 @@ def solve_replicates(C, R, S, lam, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_I
     each zero off its own support and NaN where the solve failed; their
     weights normalized on their supports; their iteration counts, 0 where
     the solve failed; and {index in the run: the ConvergenceError or
-    NumericalError}. Replicate k's plan, count and error are those that
-    ``solve_reduced`` gives for (C, R[k], S[k]) from ``init`` at the same
-    ``tol`` and ``max_iter``, the plan equal up to rounding.
+    NumericalError}. Replicate k takes the path that ``solve_reduced`` takes
+    for (C, R[k], S[k]) from ``init`` at the same ``tol`` and ``max_iter``:
+    the same count, or the same error, unless a residual lands within
+    rounding of ``tol``. Its plan agrees to rounding after plain Sinkhorn
+    and within ``tol``, absolute, after a Newton finish, whose stacked Gram
+    on the loop's kernel can amplify rounding.
 
     One kernel exp((f0 + g0 - C) / lam) on the union of the supports serves
-    every replicate (see ``_sinkhorn_batch``), and the replicates that stall
-    at one iteration run one stacked Newton over it. The plans the batch
-    finishes are formed in one broadcast per run. Replicates that leave the
-    batch early or last finish in ``sinkhorn_matrix`` from their absorbed
-    potentials, carrying their iteration count and stall state, and a
-    replicate with a single atom on either side, whose plan is the product
-    of its marginals, goes there directly.
+    every replicate in one ``_sinkhorn_stack``, and the replicates that stall
+    at one iteration run one stacked Newton over it. The plans it finishes
+    are formed in one broadcast per run. Replicates whose scalings leave the
+    absorption window or whose update cannot be formed finish in
+    ``sinkhorn_matrix`` from their absorbed potentials, carrying their
+    iteration count and stall watch, and a replicate with a single atom on
+    either side, whose plan is the product of its marginals, goes there
+    directly.
     """
     C, R, S = (np.asarray(x, dtype=float) for x in (C, R, S))
     _check_setting(C, lam, tol, max_iter)
     _check_weights(C, R, S)
+    f0, g0 = _check_init(init, C.shape)
     R, S = _normalized(R), _normalized(S)
-    f0, g0 = (np.asarray(x, dtype=float) for x in init)
     batch = np.flatnonzero(((R > 0).sum(axis=1) > 1) & ((S > 0).sum(axis=1) > 1))
     ru = np.flatnonzero((R[batch] > 0).any(axis=0))
     cu = np.flatnonzero((S[batch] > 0).any(axis=0))
     K = np.exp((f0[ru][:, None] + g0[cu][None, :] - C[np.ix_(ru, cu)]) / lam)
-    U, V, iters, resid, status, watches = _sinkhorn_batch(
-        K, R[np.ix_(batch, ru)], S[np.ix_(batch, cu)], lam, tol, max_iter)
+    Rb, Sb = R[np.ix_(batch, ru)], S[np.ix_(batch, cu)]
+    U, V, iters, resid, status, watches = _sinkhorn_stack(
+        K, (Rb > 0).astype(float), (Sb > 0).astype(float), Rb, Sb, lam, tol, max_iter,
+        np.zeros(batch.size, dtype=int), _new_watch((Rb > 0).sum(axis=1), (Sb > 0).sum(axis=1)))
     slot = np.full(len(R), -1)
     slot[batch] = np.arange(batch.size)
-    state = np.full(len(R), _HANDOFF)
+    state = np.full(len(R), _ABSORB)  # single-atom replicates go to sinkhorn_matrix too
     state[batch] = status
     size = max(1, _STACK_ENTRIES // C.size)
     for lo in range(0, len(R), size):
@@ -865,7 +840,7 @@ def solve_replicates(C, R, S, lam, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_I
             try:
                 if state[k] == _FAILED:
                     raise _sinkhorn_failure(tol, max_iter, float(resid[i]), int(iters[i]))
-                if i >= 0:  # leaves the batch with its absorbed potentials and stall watch
+                if i >= 0:  # leaves the stack with its absorbed potentials and stall watch
                     warm = (f0[rows] + lam * np.log(U[i, np.searchsorted(ru, rows)]),
                             g0[cols] + lam * np.log(V[i, np.searchsorted(cu, cols)]))
                     watch = (int(iters[i]), *watches[i])

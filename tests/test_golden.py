@@ -7,6 +7,13 @@ of the seeded subcommands (``bootstrap`` on the same grid, two ``mc`` sweeps
 and ``rcol --band bootstrap`` between two 8 x 8 phantoms) by commit 359f894,
 before the replicate loop returned arrays. A refactor that claims the same
 numbers is checked here. Counts and the text fields must match exactly.
+
+``sinkhorn_solves.json`` holds single ``sinkhorn_matrix`` solves, inputs and
+results, written by commit cb0d90a before the scalar Sinkhorn loop became a
+stack of one: each takes one exit of the loop (absorption, an update that
+cannot be formed, a Newton finish, failed Newtons, the ladder, ``max_iter``).
+Their plans are checked at 1e-12 relative, their counts, residuals and
+messages exactly.
 """
 
 import json
@@ -17,6 +24,8 @@ import pytest
 from click.testing import CliRunner
 
 from rotinf.cli import main
+from rotinf.exceptions import ConvergenceError
+from rotinf.solver import sinkhorn_matrix
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 INPUTS = ["--grid", "3", "--r", os.path.join(GOLDEN, "r.csv"),
@@ -94,3 +103,24 @@ def test_outputs_match_the_stored_files(tmp_path, name):
         want = json.load(fh)
     got = run_case(CASES[name], tmp_path)
     assert_matches(got, want, str(tmp_path), stored, name)
+
+
+with open(os.path.join(GOLDEN, "sinkhorn_solves.json")) as fh:
+    SOLVES = json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVES))
+def test_single_solves_match_the_stored_results(name):
+    case, want = SOLVES[name]["input"], SOLVES[name]["result"]
+    init = None if case["init"] is None else tuple(np.array(x) for x in case["init"])
+    args = (np.array(case["C"]), np.array(case["r"]), np.array(case["s"]), case["lam"])
+    try:
+        P, _, _, iterations, residual = sinkhorn_matrix(
+            *args, tol=case["tol"], max_iter=case["max_iter"], init=init)
+    except ConvergenceError as err:
+        assert (str(err), err.iterations, err.residual) == (
+            want["message"], want["iterations"], want["residual"])
+        return
+    assert "message" not in want
+    assert (iterations, residual) == (want["iterations"], want["residual"])
+    assert_close(P, want["plan"], name)

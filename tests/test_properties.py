@@ -269,7 +269,7 @@ def test_absorption_handoff_matches_looped_solves(monkeypatch):
     # at lam = 0.001 the first three replicates, far from the warm start, push
     # their scalings past e^200; in the last one every kernel entry underflows
     # to zero, so its first update cannot be formed. Each leaves the batch for
-    # the scalar solver, with and without enough budget left to converge.
+    # sinkhorn_matrix, with and without enough budget left to converge.
     C = 1.0 - np.eye(4)
     quarter = np.full(4, 0.25)
     warm = solve_reduced(C, quarter, quarter, 0.001, p=1.0).potentials
@@ -292,6 +292,33 @@ def test_absorption_handoff_matches_looped_solves(monkeypatch):
         looped = looped_solves(C, R, S, 0.001, warm, max_iter)
         assert_same_solves(batched, looped)
     assert [isinstance(sol, ConvergenceError) for sol in looped] == [True] * 3 + [False] * 2
+
+
+def test_batched_plans_after_newton_finishes_agree_within_tol(monkeypatch):
+    # a two-sample loop of 12 replicates on 24 random points, squared-Euclidean
+    # cost, at lam0 = 0.0116 and tol 1e-8: Newton finishes every replicate. The
+    # stacked Newton solves on the loop's kernel, so batched and looped plans
+    # need not agree to rounding (here one differs by 8.7e-13), but they take
+    # the same path: the same counts, and plans within tol
+    rng = np.random.default_rng(11)
+    N = int(rng.integers(20, 51))
+    X = rng.uniform(0.0, 1.0, (N, 2))
+    C = ((X[:, None] - X[None]) ** 2).sum(axis=-1)
+    r, s = rng.dirichlet(np.ones(N)), rng.dirichlet(np.ones(N))
+    lam = float(np.median(C)) * float(np.exp(rng.uniform(np.log(0.001), np.log(0.05))))
+    tol = 1e-8
+    warm = solve_reduced(C, r, s, lam, p=1.0, tol=tol).potentials
+    n = int(rng.integers(20, 200))
+    R = np.array([rng.multinomial(n, r) / n for _ in range(12)])
+    rng.uniform()
+    S = np.array([rng.multinomial(n, s) / n for _ in range(12)])
+    outcomes = recorded_newton(monkeypatch)
+    batched = solved_replicates(C, R, S, lam, warm, tol=tol)
+    assert sum(not fell_back for fell_back, _ in outcomes) == 12
+    for (plan, _, _, count, err), rw, sw in zip(batched, R, S):
+        looped = solve_reduced(C, rw, sw, lam, p=1.0, tol=tol, init=warm)
+        assert err is None and count == looped.plan.iterations
+        assert np.abs(plan.ravel() - looped.full_entries()).max() <= tol
 
 
 def test_single_atom_replicates_keep_the_scalar_path():

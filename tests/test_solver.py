@@ -457,6 +457,28 @@ def test_solve_reduced_refuses_bad_weights(weights):
             solve_reduced(C, r, s, 1.0, p=1.0)
 
 
+@pytest.mark.parametrize("init", [
+    (np.zeros(3), np.full(3, np.nan)),
+    (np.zeros(4), np.zeros(3)),
+    (np.zeros(2), np.zeros(3)),
+], ids=["nan", "long", "short"])
+@pytest.mark.parametrize("solve", [
+    lambda C, w, init: sinkhorn_matrix(C, w, w, 1.0, init=init),
+    lambda C, w, init: solve_reduced(C, w, w, 1.0, p=1.0, init=init),
+    lambda C, w, init: list(sv.solve_replicates(C, w[None], w[None], 1.0, init)),
+], ids=["sinkhorn_matrix", "solve_reduced", "solve_replicates"])
+def test_warm_starts_are_refused_before_any_iteration(monkeypatch, init, solve):
+    # a NaN potential used to run all 100,000 iterations and fail on residual
+    # nan; solve_reduced cut a long one short and indexed past a short one
+    def no_iteration(*args):
+        raise AssertionError("a Sinkhorn iteration ran")
+
+    monkeypatch.setattr(sv, "_sinkhorn_stack", no_iteration)
+    C = 1.0 - np.eye(3)
+    with pytest.raises(ValueError, match="warm-start potentials"):
+        solve(C, np.full(3, 1.0 / 3.0), init)
+
+
 def test_newton_line_search_overflow_is_rejected_quietly():
     # a trial point of this instance overflows pi @ y; it must be rejected as
     # infeasible without a RuntimeWarning leaking out
