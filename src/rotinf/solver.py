@@ -13,9 +13,9 @@ a window twice as long. ``solve_replicates`` runs the warm Sinkhorn solves
 of a resampling loop together over one shared kernel, and its stalled
 replicates through one stacked Newton, and yields them as arrays: runs of
 plans on the loop's cost. ``solve_reduced`` is the entry point the rest of
-the package solves through. Every Newton step, plan gradient and variance
-solves with the reduced marginal Gram matrix through one Cholesky factor,
-``GramFactor``, of one plan or of a stack.
+the package solves through. Every Newton step,
+plan gradient and variance solves with the reduced marginal Gram matrix
+through one Cholesky factor, ``GramFactor``, of one plan or of a stack.
 
 The exact baseline solves the unregularized linear program on tiny instances
 with the dual simplex and reads every optimal dual vertex off the basic plan
@@ -183,7 +183,6 @@ def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None, resume=None):
     f = np.zeros(n1) if f is None else np.array(f, dtype=float)
     g = np.zeros(n2) if g is None else np.array(g, dtype=float)
     it, watch = (0, _new_watch(n1, n2)) if resume is None else (resume[0], np.array([resume[1:]]))
-    ones = np.ones((1, n1)), np.ones((1, n2))
     while True:
         if status == _UNFORMED:  # one full Sinkhorn round carried out in the log domain
             f = lam * (np.log(r[0]) - _logsumexp((g[None, :] - C) / lam, axis=1))
@@ -191,7 +190,7 @@ def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None, resume=None):
             it += 1
         K = np.exp((f[:, None] + g[None, :] - C) / lam)
         (u,), (v,), (it,), (res,), (status,), watch = _sinkhorn_stack(
-            K, *ones, r, s, lam, tol, max_iter, np.array([it]), watch)
+            K, r, s, lam, tol, max_iter, np.array([it]), watch)
         if status in (_DONE, _FAILED):
             break
         f = f + lam * np.log(u)
@@ -664,13 +663,13 @@ def solve_reduced(cost, r_weights, s_weights, lam, reg: rg.Regularizer | None = 
 _DONE, _FAILED, _ABSORB, _UNFORMED = range(4)
 
 
-def _sinkhorn_stack(K, U, V, R, S, lam, tol, max_iter, iters, watch):
+def _sinkhorn_stack(K, R, S, lam, tol, max_iter, iters, watch):
     """Sinkhorn scaling of a stack of marginal pairs, the rows of R and S, over one kernel.
 
     This is the only Sinkhorn iteration: ``_sinkhorn_core`` runs a single
-    solve through it as a stack of one. Row b starts from the scalings U[b]
-    and V[b], zero off the support of R[b] and S[b], at iteration count
-    iters[b] with stall watch watch[b] = (reference, window, next check): the
+    solve through it as a stack of one. Row b starts from the kernel itself,
+    with scalings 1 on the support of R[b] and S[b] and 0 off it, at
+    iteration count iters[b] and with stall watch watch[b] = (reference, window, next check): the
     residual at the start of its current window, the window's length and the
     count at which the window ends, inf once a Newton has succeeded. All rows
     advance together, and a row's path depends on its own state alone.
@@ -689,10 +688,11 @@ def _sinkhorn_stack(K, U, V, R, S, lam, tol, max_iter, iters, watch):
     window doubled. Returns (U, V, iterations, residuals, statuses, watches).
     """
     B = len(R)
+    r_off, s_off = R <= 0, S <= 0
+    U, V = 1.0 - r_off, 1.0 - s_off
     U_out, V_out, watch_out = np.empty_like(U), np.empty_like(V), np.empty((B, 3))
     iters_out, resid, status = np.empty(B, dtype=int), np.empty(B), np.empty(B, dtype=int)
     lo, hi = _ABSORB_LO, _ABSORB_HI
-    r_off, s_off = R <= 0, S <= 0
     masked = r_off.any() or s_off.any()
     # the rows running and their state; a row's count is the loop's plus its base
     live, base, watch = np.arange(B), np.array(iters), np.array(watch, dtype=float)
@@ -817,8 +817,8 @@ def solve_replicates(C, R, S, lam, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_I
     K = np.exp((f0[ru][:, None] + g0[cu][None, :] - C[np.ix_(ru, cu)]) / lam)
     Rb, Sb = R[np.ix_(batch, ru)], S[np.ix_(batch, cu)]
     U, V, iters, resid, status, watches = _sinkhorn_stack(
-        K, (Rb > 0).astype(float), (Sb > 0).astype(float), Rb, Sb, lam, tol, max_iter,
-        np.zeros(batch.size, dtype=int), _new_watch((Rb > 0).sum(axis=1), (Sb > 0).sum(axis=1)))
+        K, Rb, Sb, lam, tol, max_iter, np.zeros(batch.size, dtype=int),
+        _new_watch((Rb > 0).sum(axis=1), (Sb > 0).sum(axis=1)))
     slot = np.full(len(R), -1)
     slot[batch] = np.arange(batch.size)
     state = np.full(len(R), _ABSORB)  # single-atom replicates go to sinkhorn_matrix too
