@@ -792,9 +792,9 @@ def solve_replicates(C, R, S, lam, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_I
     NumericalError}. Replicate k takes the path that ``solve_reduced`` takes
     for (C, R[k], S[k]) from ``init`` at the same ``tol`` and ``max_iter``:
     the same count, or the same error, unless a residual lands within
-    rounding of ``tol``. Its plan agrees to rounding after plain Sinkhorn
-    and within ``tol``, absolute, after a Newton finish, whose stacked Gram
-    on the loop's kernel can amplify rounding.
+    rounding of ``tol``. Its plan agrees within ``tol``, absolute, and
+    usually to rounding: a Newton finish solves on the loop's kernel, whose
+    rounding an ill-conditioned Gram amplifies.
 
     One kernel exp((f0 + g0 - C) / lam) on the union of the supports serves
     every replicate in one ``_sinkhorn_stack``, and the replicates that stall
