@@ -11,6 +11,7 @@ solve.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass, replace
 
@@ -210,7 +211,11 @@ def ks_distance(sample, reference) -> float:
     normal, or a second sample (two-sample variant). Against a CDF F the
     distance is read off the sorted sample x_(1) <= ... <= x_(n) as
     max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n), which is what
-    ``scipy.stats.kstest`` reports, without its exact p-value.
+    ``scipy.stats.kstest`` reports, without its exact p-value. Between samples
+    of sizes n1 and n2 it is h / lcm(n1, n2), h the largest gap between their
+    empirical CDFs in units of 1 / lcm, counted in integers: what
+    ``scipy.stats.ks_2samp`` reports for samples of up to 10,000 values, and
+    the same ratio rounded once beyond that; NaN if either sample holds a NaN.
     """
     values = sample.values if isinstance(sample, SampleDistribution) else np.asarray(sample, float)
     if isinstance(reference, str):
@@ -223,9 +228,17 @@ def ks_distance(sample, reference) -> float:
         return float(max((np.arange(1.0, n + 1) / n - cdf).max(),
                          (cdf - np.arange(0.0, n) / n).max()))
     other = reference.values if isinstance(reference, SampleDistribution) else np.asarray(reference, float)
-    from scipy.stats import ks_2samp
-
-    return float(ks_2samp(values, other).statistic)
+    a, b = np.sort(values), np.sort(other)
+    n1, n2 = a.size, b.size
+    if not (n1 and n2):
+        raise ValueError("both samples must be nonempty")
+    both = np.concatenate([a, b])
+    if np.isnan(both).any():
+        return float("nan")
+    g = math.gcd(n1, n2)
+    gaps = (np.searchsorted(a, both, side="right") * (n2 // g)
+            - np.searchsorted(b, both, side="right") * (n1 // g))
+    return float(max(gaps.max(), -gaps.min()) / (n1 // g * n2))
 
 
 def confidence_interval(w: float, sigma2: float, n: int, alpha: float = 0.05,

@@ -447,7 +447,15 @@ def _newton_chunk(K, U, V, R, S, steps, lam, tol):
             slope = -lam * ((F_row * x).sum(axis=1) + (F_col * z).sum(axis=1))
             rise = lam * ((r * x).sum(axis=1) + (s * z).sum(axis=1))
             t = np.ones(idx.size)
-            trying = np.flatnonzero(pd)
+            # the first trial's bound costs a pass over the plans, taken only for steps
+            # that can raise a log-entry of a plan by more than 10; others mostly pass t = 1
+            far = pd & (np.where(off_row, -np.inf, x).max(axis=1)
+                        + np.where(s > 0, z, -np.inf).max(axis=1) > 10)
+            if far.any():
+                cap = (np.maximum(rise, 0) + lam * mass + rounding
+                       + 1e-4 * np.maximum(-slope, 0))
+                t[far] = _first_trial(P[far], x[far], z[far], cap[far], lam)
+            trying = np.flatnonzero(pd & (t >= 1e-14))
             while trying.size:
                 tt = t[trying]
                 ut = u[trying] * np.exp(tt[:, None] * x[trying])
@@ -464,6 +472,26 @@ def _newton_chunk(K, U, V, R, S, steps, lam, tol):
             keep = pd & (t >= 1e-14)
             idx, u, v, r, s, off_row, P = (a[keep] for a in (idx, u, v, r, s, off_row, P))
     return U_out, V_out, taken, succeeded
+
+
+def _first_trial(P, x, z, cap, lam):
+    """The length each row's backtracking line search may start at: the largest
+    power of two t <= 1 such that every longer trial provably fails the Armijo test.
+
+    Row b moves its plan P[b] to P_t = P e^{t (x_i + z_j)}. For t <= 1 a trial
+    passes only if lam * sum(P_t) <= cap[b], a bound on the rest of the test,
+    and sum(P_t) is at least each of its entries. So every t above
+    L = min over P_ij > 0 and a_ij = x_i + z_j > 0 of (log cap - log(lam P_ij)) / a_ij
+    fails; the 1e-6 added to log cap absorbs rounding. Halving from 1 tries
+    the same powers of two and refuses every one above L, so starting at the
+    largest power of two <= L changes no outcome. A row whose L is not a
+    number starts at 1, and one whose L is not positive at 0.
+    """
+    a = x[:, :, None] + z[:, None, :]
+    bound = np.where((P > 0) & (a > 0),
+                     (np.log(cap)[:, None, None] + 1e-6 - np.log(lam * P)) / a, np.inf)
+    L = np.fmin(bound.min(axis=(1, 2)), 1.0)
+    return np.where(L > 0, np.ldexp(0.5, np.frexp(L)[1]), 0.0)
 
 
 def newton_matrix(reg: rg.Regularizer, C, r, s, lam, tol=DEFAULT_TOL, max_iter=200):
@@ -856,6 +884,9 @@ def solve_replicates(C, R, S, lam, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_I
 # Exact baseline on tiny instances
 
 _BASELINE_MAX_POINTS = 6
+# spanning trees solved in one stack: at most 1 MB of 11 x 11 systems at 6 points,
+# where r = s has 41,472 trees
+_BASELINE_TREES = 1024
 
 
 @dataclass(frozen=True)
@@ -927,36 +958,42 @@ def exact_ot_baseline(c: CostVector, r: Prob, s: Prob) -> ExactBaseline:
     k = len(comp)
     comp_of = [comp[dsu.find(node)] for node in range(n1 + n2)]
 
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for i in range(n1):
         for j in range(n2):
             ca, cb = comp_of[i], comp_of[n1 + j]
             if ca != cb:
-                key = (min(ca, cb), max(ca, cb))
-                groups.setdefault(key, []).append((i, j))
+                groups.setdefault((min(ca, cb), max(ca, cb)), []).append(i * n2 + j)
 
-    vertices = {}
+    def spanning(subset):
+        dsu2 = _DisjointSet(k)
+        return all(dsu2.union(a, b) for (a, b) in subset)
+
     # a tree over the k components (none when k = 1) picks the groups; each
     # choice of one edge per picked group completes the forest to a spanning tree
-    for subset in itertools.combinations(sorted(groups), k - 1):
-        dsu2 = _DisjointSet(k)
-        if not all(dsu2.union(a, b) for (a, b) in subset):
-            continue
-        edges = np.array([[i * n2 + j for (i, j) in support + list(combo)]
-                          for combo in itertools.product(*(groups[e] for e in subset))])
+    trees = itertools.chain.from_iterable(
+        itertools.product(*(groups[e] for e in subset))
+        for subset in itertools.combinations(sorted(groups), k - 1) if spanning(subset))
+    forest = [i * n2 + j for (i, j) in support]
+    found = []
+    while chunk := list(itertools.islice(trees, _BASELINE_TREES)):
+        edges = np.hstack([np.tile(forest, (len(chunk), 1)),
+                           np.array(chunk, dtype=int).reshape(len(chunk), k - 1)])
         # u_i + v_j = C[i, j] on each tree's edges; A's rows pin v[-1] = 0
         uv = np.linalg.solve(A.T[edges], C.ravel()[edges][..., None])[..., 0]
         U, V = uv[:, :n1], np.hstack([uv[:, n1:], np.zeros((len(edges), 1))])
-        feasible = (U[:, :, None] + V[:, None, :] - C).max(axis=(1, 2)) <= 1e-8 * scale
-        full = np.zeros((len(edges), 2 * N))
-        full[:, rows] = U
-        full[:, N + cols] = V
-        for vertex in full[feasible]:
-            vertices.setdefault(tuple(np.round(vertex, 9)), vertex)
-    if not vertices:
+        found.append(uv[(U[:, :, None] + V[:, None, :] - C).max(axis=(1, 2)) <= 1e-8 * scale])
+    found = np.concatenate(found)
+    if not found.size:
         raise NumericalError("no feasible dual vertex found")
-    return ExactBaseline(value=value,
-                         dual_vertices=np.array(list(vertices.values())))
+    first = {}  # the first vertex found with each rounded vector
+    for i, key in enumerate(map(tuple, np.round(found, 9).tolist())):
+        first.setdefault(key, i)
+    found = found[list(first.values())]
+    vertices = np.zeros((len(found), 2 * N))
+    vertices[:, rows] = found[:, :n1]
+    vertices[:, N + cols[:-1]] = found[:, n1:]
+    return ExactBaseline(value=value, dual_vertices=vertices)
 
 
 def ot_limit_sample(c: CostVector, r: Prob, dual_vertices, M: int, seed: int) -> np.ndarray:

@@ -573,10 +573,21 @@ def test_rcol_bad_cost_power_exits_2(runner, tmp_path, power):
 
 def test_cli_import_leaves_unused_scipy_modules_unloaded():
     # every `rot` call pays for what `import rotinf.cli` loads; the statistics,
-    # optimization and spatial modules wait for the functions that use them
+    # optimization and spatial modules wait for the functions that use them.
+    # A Monte Carlo run against the transport limit (an exact baseline and
+    # two-sample KS distances) loads the optimizer but not the statistics
     src = os.path.dirname(os.path.dirname(rotinf.__file__))
-    code = (f"import sys; sys.path.insert(0, {src!r}); import rotinf.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'stats'], ['scipy', 'optimize'], ['scipy', 'spatial'])))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    mc = ("from rotinf.inference import MCConfig, mc_experiment; "
+          "mc_experiment(MCConfig(L=2, lambda0=(0.5,), n=(50,), replicates=20, seed=3, "
+          "mode='one_sample_eq', studentize=False, compare_ot_limit=True)); ")
+    loaded = []
+    for run in ("", mc):
+        code = (f"import sys; sys.path.insert(0, {src!r}); import rotinf.cli; {run}"
+                "print(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules if "
+                "m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'], "
+                "['scipy', 'spatial'])}))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        loaded.append(out.stdout.strip())
+    assert loaded[0] == "[]"
+    assert "scipy.optimize" in loaded[1] and "scipy.stats" not in loaded[1]

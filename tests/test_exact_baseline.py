@@ -78,6 +78,34 @@ def test_dual_vertices_are_complete(case):
         assert np.abs(base.dual_vertices - vertex).max(axis=1).min() < 1e-9
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_six_point_dual_vertices_are_complete(p):
+    # with r = s on 6 points the optimal plan is the diagonal, a forest of 6
+    # components completed by 41,472 spanning trees, more than one stack holds.
+    # The optimal duals are v = -u with u in {u_i - u_j <= C_ij, u_last = 0}; the
+    # vertices of that polytope are the feasible solutions of every set of 5
+    # independent tight constraints
+    c = cost_from_metric(GroundSpace(np.random.default_rng(9).uniform(0.0, 1.0, (6, 2))), p=p)
+    C = c.matrix
+    pairs = [(i, j) for i in range(6) for j in range(6) if i != j]
+    G = np.zeros((len(pairs), 6))
+    for row, (i, j) in zip(G, pairs):
+        row[i], row[j] = 1.0, -1.0
+    G, h = G[:, :5], np.array([C[i, j] for i, j in pairs])
+    subsets = np.array(list(itertools.combinations(range(len(pairs)), 5)))
+    M = G[subsets]
+    basis = np.abs(np.linalg.det(M)) > 0.5  # G is totally unimodular
+    U = np.linalg.solve(M[basis], h[subsets[basis]][..., None])[..., 0]
+    U = np.unique(np.round(U[(U @ G.T - h).max(axis=1) <= 1e-9], 9), axis=0)
+    oracle = np.hstack([U, np.zeros((len(U), 1)), -U, np.zeros((len(U), 1))])
+
+    base = exact_ot_baseline(c, Prob(np.full(6, 1 / 6)), Prob(np.full(6, 1 / 6)))
+    assert abs(base.value) < 1e-12
+    assert len(base.dual_vertices) == len(oracle)
+    for vertex in oracle:
+        assert np.abs(base.dual_vertices - vertex).max(axis=1).min() < 1e-9
+
+
 def test_cyclic_plan_support_is_refused(monkeypatch):
     # on an all-zero cost the uniform 2 x 2 plan is optimal but not basic:
     # its support is the 4-cycle r0-s0-r1-s1

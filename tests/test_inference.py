@@ -45,19 +45,30 @@ def test_ks_distance_oracles():
 
 
 def test_ks_distance_equals_scipys_statistic():
-    # sizes from 1, a third of the samples with ties, against the normal and a
-    # second CDF; the direct formula must give scipy's statistic to the bit
+    # sizes from 1, a third of the samples with ties, against the normal, a
+    # second CDF and a second sample of another size, shifted, with ties within
+    # and across the samples; the direct formulas must give scipy's statistic
+    # to the bit
     rng = np.random.default_rng(21)
     for k in range(300):
         size = 1 + k % 60
         x = rng.standard_normal(size)
+        other = rng.standard_normal(1 + 7 * k % 45) + 0.5 * rng.standard_normal()
         if k % 3 == 0:
-            x = np.round(x, 1)
+            x, other = np.round(x, 1), np.round(other, 1)
         assert ks_distance(x, "normal") == stats.kstest(x, stats.norm.cdf).statistic
         y = np.abs(x)
         assert ks_distance(y, stats.expon.cdf) == stats.kstest(y, stats.expon.cdf).statistic
+        assert ks_distance(x, other) == stats.ks_2samp(x, other).statistic
+        assert ks_distance(other, x) == stats.ks_2samp(other, x).statistic
     for x in ([0.3], [0.0, 0.0, 0.0], [-1.0, 2.0, 2.0, 2.0]):
         assert ks_distance(x, "normal") == stats.kstest(x, stats.norm.cdf).statistic
+    for x, other in (([0.3], [0.3]), ([0.3], [-0.1]), ([0.3], [0.0, 0.3, 0.3, 1.0]),
+                     ([2.0, 2.0, -1.0], [2.0, 0.5]), ([0.0, 1.0, 2.0], [1.0])):
+        assert ks_distance(x, other) == stats.ks_2samp(x, other).statistic
+    assert np.isnan(ks_distance([0.3, np.nan], [0.1]))
+    with pytest.raises(ValueError, match="nonempty"):
+        ks_distance([], [0.1])
 
 
 def test_sinkhorn_statistic_dirac_zero(two_point_cost):

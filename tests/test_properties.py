@@ -3,6 +3,8 @@ dense oracle, A grad_phi = I, PSD covariances, marginal feasibility, cost-shift
 invariance, permutation equivariance, batched replicate solves against looped
 ones, and stacked plug-in variances against the one-plan path."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, reject
@@ -403,6 +405,88 @@ def test_newton_failing_midway_falls_back_to_where_it_stalled(monkeypatch):
     assert outcomes == [(True, 1), (True, 1), (True, 4), (True, 4), (False, 5), (False, 5)]
     assert [count for _, _, _, count, _ in batched] == [130, 130]
     assert_same_solves(batched, looped_solves(C, R, S, 0.02, warm, sv.DEFAULT_MAX_ITER))
+
+
+@st.composite
+def stalled_stacks(draw):
+    """The scalings (K, U, V, R, S, lam) of a single small-lam solve of 4 to 30
+    random points where it first stalls, as a stack of one, or as a stack of
+    resampled marginal pairs on the same scalings, zero off their supports."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    N = draw(st.integers(4, 30))
+    X = rng.uniform(0.0, 1.0, (N, 2))
+    C = cost_from_metric(GroundSpace(X), p=draw(st.sampled_from([1.0, 2.0]))).matrix
+    r, s = rng.dirichlet(np.ones(N)), rng.dirichlet(np.ones(N))
+    lam = float(np.median(C)) * draw(st.floats(0.002, 0.05))
+    stalls = []
+    real = sv._newton_stack
+
+    def recorded(K, U, V, R, S, *args):
+        stalls.append((K, U.copy(), V.copy(), R.copy(), S.copy()))
+        return real(K, U, V, R, S, *args)
+
+    with mock.patch.object(sv, "_newton_stack", recorded):
+        try:
+            sv.sinkhorn_matrix(C, r, s, lam, tol=1e-8, max_iter=200)
+        except ConvergenceError:
+            pass
+    if not stalls:
+        reject()
+    K, U, V, R, S = stalls[0]
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 60))
+        R = np.array([rng.multinomial(n, r) / n for _ in range(6)])
+        S = np.array([rng.multinomial(n, s) / n for _ in range(6)])
+        U, V = np.where(R > 0, U, 0.0), np.where(S > 0, V, 0.0)
+    return K, U, V, R, S, lam
+
+
+def armijo_passes(K, u, v, x, z, r, s, free, lam, t):
+    """The Newton line search's test of a trial of length t on one row, evaluated
+    afresh: an Armijo increase of the dual <log u, r> + <log v, s> - lam sum(P)."""
+    P = u[:, None] * K * v[None]
+    mass = P.sum()
+    linear = np.where(r > 0, r * np.log(u), 0.0).sum() + np.where(s > 0, s * np.log(v), 0.0).sum()
+    rounding = 1e-14 * max(1.0, lam * abs(linear - mass))
+    F_row, F_col = P.sum(axis=1) - r, np.where(free, P.sum(axis=0) - s, 0.0)
+    slope = -lam * ((F_row * x).sum() + (F_col * z).sum())
+    rise = lam * ((r * x).sum() + (s * z).sum())
+    ut, vt = u * np.exp(t * x), v * np.exp(t * z)
+    gain = t * rise - lam * ((ut[:, None] * K * vt[None]).sum() - mass)
+    return bool((np.isfinite(ut) & ((ut > 0) | (r <= 0))).all()
+                and (np.isfinite(vt) & ((vt > 0) | (s <= 0))).all()
+                and gain >= 1e-4 * t * slope - rounding)
+
+
+@given(case=stalled_stacks())
+def test_line_search_starts_below_only_failing_trials(case):
+    # the Newton line search halves from t = 1 until a trial passes; it starts
+    # at _first_trial's power of two instead. Every power of two above that
+    # start fails, and a row started below 1e-14 ends its first step unmoved
+    K, U, V, R, S, lam = case
+    P = U[:, :, None] * K * V[:, None, :]
+    free, off_row = GramFactor.free_columns(S), R <= 0
+    gram = GramFactor(P, free, off_row)
+    F_row, F_col = P.sum(axis=2) - R, np.where(free, P.sum(axis=1) - S, 0.0)
+    X, Z = gram.solve_blocks(-F_row, -F_col)
+    with np.errstate(all="ignore"):
+        slope = -lam * ((F_row * X).sum(axis=1) + (F_col * Z).sum(axis=1))
+        rise = lam * ((R * X).sum(axis=1) + (S * Z).sum(axis=1))
+        linear = (np.where(off_row, 0.0, R * np.log(U)).sum(axis=1)
+                  + np.where(S > 0, S * np.log(V), 0.0).sum(axis=1))
+        mass = P.sum(axis=(1, 2))
+        cap = (np.maximum(rise, 0.0) + lam * mass
+               + 1e-14 * np.maximum(1.0, lam * np.abs(linear - mass))
+               + 1e-4 * np.maximum(-slope, 0.0))
+        start = sv._first_trial(P, X, Z, cap, lam)
+        for b in np.flatnonzero(gram.factored):
+            t = 1.0
+            while t > start[b]:
+                assert not armijo_passes(K, U[b], V[b], X[b], Z[b], R[b], S[b], free[b], lam, t)
+                t *= 0.5
+    _, _, taken, ok = sv._newton_stack(K, U, V, R, S, lam, 1e-8, 2)
+    ended = gram.factored & (start < 1e-14) & (taken > 0)
+    assert (taken[ended] == 1).all() and not ok[ended].any()
 
 
 @st.composite
