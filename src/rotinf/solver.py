@@ -447,15 +447,16 @@ def _newton_chunk(K, U, V, R, S, steps, lam, tol):
             slope = -lam * ((F_row * x).sum(axis=1) + (F_col * z).sum(axis=1))
             rise = lam * ((r * x).sum(axis=1) + (s * z).sum(axis=1))
             t = np.ones(idx.size)
-            # the first trial's bound costs a pass over the plans, taken only for steps
-            # that can raise a log-entry of a plan by more than 10; others mostly pass t = 1
-            far = pd & (np.where(off_row, -np.inf, x).max(axis=1)
-                        + np.where(s > 0, z, -np.inf).max(axis=1) > 10)
+            trying = np.flatnonzero(pd)
+            # the first trial's bound costs passes over the plans, taken only for steps
+            # that can raise a log-entry of a plan by more than 10 (x and z are 0 off
+            # the support, so max x + max z bounds that rise); others mostly pass t = 1
+            far = pd & (x.max(axis=1) + z.max(axis=1) > 10)
             if far.any():
                 cap = (np.maximum(rise, 0) + lam * mass + rounding
                        + 1e-4 * np.maximum(-slope, 0))
                 t[far] = _first_trial(P[far], x[far], z[far], cap[far], lam)
-            trying = np.flatnonzero(pd & (t >= 1e-14))
+                trying = trying[t[trying] >= 1e-14]
             while trying.size:
                 tt = t[trying]
                 ut = u[trying] * np.exp(tt[:, None] * x[trying])
@@ -481,16 +482,17 @@ def _first_trial(P, x, z, cap, lam):
     Row b moves its plan P[b] to P_t = P e^{t (x_i + z_j)}. For t <= 1 a trial
     passes only if lam * sum(P_t) <= cap[b], a bound on the rest of the test,
     and sum(P_t) is at least each of its entries. So every t above
-    L = min over P_ij > 0 and a_ij = x_i + z_j > 0 of (log cap - log(lam P_ij)) / a_ij
-    fails; the 1e-6 added to log cap absorbs rounding. Halving from 1 tries
+    L = min over P_ij > 0 and a_ij = x_i + z_j > 0 of (log(cap / lam) - log P_ij) / a_ij
+    fails; the 1e-6 added to log(cap / lam) absorbs rounding. Halving from 1 tries
     the same powers of two and refuses every one above L, so starting at the
     largest power of two <= L changes no outcome. A row whose L is not a
     number starts at 1, and one whose L is not positive at 0.
     """
     a = x[:, :, None] + z[:, None, :]
-    bound = np.where((P > 0) & (a > 0),
-                     (np.log(cap)[:, None, None] + 1e-6 - np.log(lam * P)) / a, np.inf)
-    L = np.fmin(bound.min(axis=(1, 2)), 1.0)
+    with np.errstate(divide="ignore"):  # log 0 = -inf puts an entry of no mass at inf
+        gap = (np.log(cap / lam) + 1e-6)[:, None, None] - np.log(P)
+    L = np.divide(gap, a, out=np.full_like(a, np.inf), where=a > 0).min(axis=(1, 2))
+    L = np.fmin(L, 1.0)
     return np.where(L > 0, np.ldexp(0.5, np.frexp(L)[1]), 0.0)
 
 
