@@ -1,7 +1,8 @@
 """Structural invariants over generated instances: the Gram factor against the
 dense oracle, A grad_phi = I, PSD covariances, marginal feasibility, cost-shift
 invariance, permutation equivariance, batched replicate solves against looped
-ones, and stacked plug-in variances against the one-plan path."""
+ones, stacked plug-in variances against the one-plan path, and the Newton line
+search's first trial against the Armijo test."""
 
 from unittest import mock
 
