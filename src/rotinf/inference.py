@@ -327,8 +327,12 @@ class MCConfig:
                  "be finite and positive with lambda_of_n")):
             if bad:
                 raise ValueError(f"MCConfig key '{key}' must {need}, got {getattr(self, key)!r}")
-        if self.compare_ot_limit and (self.studentize or self.p != 1.0):
-            raise ValueError("the transport limit comparison needs studentize=False and p=1")
+        # the sampled law max <G, u> is the one-sample limit; two samples need another
+        if self.compare_ot_limit and (self.studentize or self.p != 1.0
+                                      or self.mode == "two_sample"):
+            raise ValueError("the transport limit comparison needs studentize=False, p=1 and "
+                             f"a one-sample 'mode', got studentize={self.studentize}, "
+                             f"p={self.p!r}, mode={self.mode!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "MCConfig":

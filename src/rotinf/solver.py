@@ -18,9 +18,10 @@ plan gradient and variance solves with the reduced marginal Gram matrix
 through one Cholesky factor, ``GramFactor``, of one plan or of a stack.
 
 The exact baseline solves the unregularized linear program on tiny instances
-with the dual simplex and reads every optimal dual vertex off the basic plan
-it returns; they feed the non-Gaussian limit sampler used to benchmark the
-small-regularization regime.
+and reads every optimal dual vertex off a basic optimal plan: diag(r) in
+closed form when r = s on distinct points, the dual simplex's plan
+otherwise. The vertices feed the non-Gaussian limit sampler used to
+benchmark the small-regularization regime.
 """
 
 from __future__ import annotations
@@ -920,15 +921,20 @@ class _DisjointSet:
 def exact_ot_baseline(c: CostVector, r: Prob, s: Prob) -> ExactBaseline:
     """Exact optimal transport value and all optimal dual basic solutions.
 
-    Only tiny instances are supported. The dual simplex returns a basic
-    optimal plan, whose support is a forest; every spanning tree that extends
-    it by edges between its components gives one potential vector, and the
-    feasible ones are the optimal dual vertices. Zero-weight atoms are dropped
-    for the enumeration and their dual entries re-embedded as zeros.
+    Only tiny instances are supported. A basic optimal plan has a forest as
+    its support; every spanning tree that extends it by edges between its
+    components gives one potential vector, and the feasible ones are the
+    optimal dual vertices. When r = s on the support and the cost there is
+    zero exactly on the diagonal, diag(r) is the unique optimal plan and the
+    value is 0; otherwise the dual simplex finds a basic optimal plan.
+    Zero-weight atoms are dropped for the enumeration and their dual entries
+    re-embedded as zeros.
     """
     N = c.n_points
     if N > _BASELINE_MAX_POINTS:
         raise ValueError(f"exact baseline supports at most {_BASELINE_MAX_POINTS} points")
+    if r.dim != N or s.dim != N:
+        raise ValueError(f"marginals have {r.dim} and {s.dim} entries; the cost has {N} points")
     rw, sw = r.weights, s.weights
     rows = np.flatnonzero(rw > 0)
     cols = np.flatnonzero(sw > 0)
@@ -937,16 +943,20 @@ def exact_ot_baseline(c: CostVector, r: Prob, s: Prob) -> ExactBaseline:
     sv = sw[cols] / sw[cols].sum()
     n1, n2 = rows.size, cols.size
 
-    from scipy.optimize import linprog
-
     A = ConstraintOperator(n1, n2).materialize_reduced()
-    res = linprog(C.ravel(), A_eq=A, b_eq=np.concatenate([rv, sv[:-1]]),
-                  bounds=(0, None), method="highs-ds")
-    if not res.success:
-        raise NumericalError(f"exact transport LP failed: {res.message}")
-    value = float(res.fun)
+    # costs are nonnegative, so this asks for zeros exactly on the diagonal
+    if (np.array_equal(rows, cols) and np.array_equal(rv, sv)
+            and np.array_equal(C > 0, ~np.eye(n1, dtype=bool))):
+        value, P = 0.0, np.diag(rv)
+    else:
+        from scipy.optimize import linprog
+
+        res = linprog(C.ravel(), A_eq=A, b_eq=np.concatenate([rv, sv[:-1]]),
+                      bounds=(0, None), method="highs-ds")
+        if not res.success:
+            raise NumericalError(f"exact transport LP failed: {res.message}")
+        value, P = float(res.fun), res.x.reshape(n1, n2)
     scale = max(1.0, float(np.abs(C).max()))
-    P = res.x.reshape(n1, n2)
     P[P < 1e-11 * scale] = 0.0
 
     support = [(i, j) for i in range(n1) for j in range(n2) if P[i, j] > 0]
@@ -1003,17 +1013,22 @@ def ot_limit_sample(c: CostVector, r: Prob, dual_vertices, M: int, seed: int) ->
 
     Each draw is max over optimal dual vertices of <G, u> raised to 1/p, where
     u is the row-potential part of a vertex and G is the multinomial Gaussian
-    of r. Intended for the one-sample case with both marginals equal to r.
+    of r: the one-sample limit law of the transport distance, at r = s and,
+    for p = 1, at r != s.
     """
     vertices = np.asarray(dual_vertices, dtype=float)
     if vertices.ndim == 1:
         vertices = vertices[None, :]
     if vertices.size == 0:
         raise ValueError("dual vertex set must be nonempty")
+    N = c.n_points
+    if r.dim != N or vertices.shape[1] != 2 * N:
+        raise ValueError(f"a marginal of size {r.dim} and dual vertices of "
+                         f"{vertices.shape[1]} entries on a cost of {N} points; "
+                         f"need {N} and {2 * N}")
     M = int(M)
     if M < 1:
         raise ValueError("need at least one draw")
-    N = r.dim
     U = vertices[:, :N]
     rng = rng_for(seed)
     sqrt_r = np.sqrt(r.weights)

@@ -531,6 +531,19 @@ def test_mc_out_of_range_setting_exits_2(runner, tmp_path, key, entries):
     assert caught == []
 
 
+def test_mc_transport_limit_comparison_of_two_samples_exits_2(runner, tmp_path):
+    # the transport limit sampler draws the one-sample law
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"L": 2, "lambda0": [0.5], "n": [10], "replicates": 5,
+                                    "seed": 3, "mode": "two_sample", "studentize": False,
+                                    "compare_ot_limit": True}))
+    result = runner.invoke(main, ["mc", "--config", str(cfg_path),
+                                  "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "mode='two_sample'" in result.output
+    assert not (tmp_path / "out" / "mc_report.json").exists()
+
+
 def test_mc_plans_at_zero_cost_under_a_root_exit_numerical(runner, tmp_path):
     # n = 1 puts both sides of every replicate on one atom; on a shared atom the
     # plan sits at zero cost, where the p-th root has no gradient, so no plan of
@@ -575,13 +588,14 @@ def test_cli_import_leaves_unused_scipy_modules_unloaded():
     # every `rot` call pays for what `import rotinf.cli` loads; the statistics,
     # optimization and spatial modules wait for the functions that use them.
     # A Monte Carlo run against the transport limit (an exact baseline and
-    # two-sample KS distances) loads the optimizer but not the statistics
+    # two-sample KS distances) never loads the statistics; at r = s it reads
+    # the baseline's plan off diag(r), and only r != s loads the optimizer
     src = os.path.dirname(os.path.dirname(rotinf.__file__))
     mc = ("from rotinf.inference import MCConfig, mc_experiment; "
           "mc_experiment(MCConfig(L=2, lambda0=(0.5,), n=(50,), replicates=20, seed=3, "
-          "mode='one_sample_eq', studentize=False, compare_ot_limit=True)); ")
+          "mode={!r}, studentize=False, compare_ot_limit=True)); ")
     loaded = []
-    for run in ("", mc):
+    for run in ("", mc.format("one_sample_eq"), mc.format("one_sample_neq")):
         code = (f"import sys; sys.path.insert(0, {src!r}); import rotinf.cli; {run}"
                 "print(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules if "
                 "m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'], "
@@ -590,4 +604,5 @@ def test_cli_import_leaves_unused_scipy_modules_unloaded():
                              check=True)
         loaded.append(out.stdout.strip())
     assert loaded[0] == "[]"
-    assert "scipy.optimize" in loaded[1] and "scipy.stats" not in loaded[1]
+    assert "scipy.optimize" not in loaded[1] and "scipy.stats" not in loaded[1]
+    assert "scipy.optimize" in loaded[2] and "scipy.stats" not in loaded[2]

@@ -228,6 +228,12 @@ def test_mc_config_validation():
     with pytest.raises(ValueError):
         MCConfig(L=2, lambda0=(1.0,), n=(10,), replicates=5, seed=0,
                  compare_ot_limit=True)  # needs studentize=False
+    with pytest.raises(ValueError, match="one-sample 'mode'.*mode='two_sample'"):
+        MCConfig(L=2, lambda0=(1.0,), n=(10,), replicates=5, seed=0, studentize=False,
+                 compare_ot_limit=True, mode="two_sample")
+    for mode in ("one_sample_eq", "one_sample_neq"):
+        MCConfig(L=2, lambda0=(1.0,), n=(10,), replicates=5, seed=0, studentize=False,
+                 compare_ot_limit=True, mode=mode)
 
 
 def test_mc_experiment_deterministic_rerun():

@@ -320,6 +320,24 @@ def test_exact_rejects_large_instance():
         exact_ot_baseline(c, r, s)
 
 
+def test_exact_rejects_marginals_of_the_wrong_size():
+    c = cost_from_metric(build_grid_space(2))
+    for r, s in ((Prob([0.5, 0.5, 0.0]), Prob([0.25] * 4)),
+                 (Prob([0.25] * 4), Prob([0.5, 0.5]))):
+        with pytest.raises(ValueError, match=f"{r.dim} and {s.dim} entries; the cost has 4"):
+            exact_ot_baseline(c, r, s)
+
+
+def test_ot_limit_rejects_sizes_off_the_cost():
+    c = cost_from_metric(build_grid_space(2))
+    quarter = Prob([0.25] * 4)
+    vertices = exact_ot_baseline(c, quarter, quarter).dual_vertices
+    for r, verts in ((Prob([0.5, 0.5]), vertices), (quarter, vertices[:, :6]),
+                     (quarter, np.zeros(4))):
+        with pytest.raises(ValueError, match="on a cost of 4 points; need 4 and 8"):
+            ot_limit_sample(c, r, verts, M=10, seed=1)
+
+
 def test_regularized_cost_upper_bounds_exact():
     rng = np.random.default_rng(9)
     for _ in range(5):
