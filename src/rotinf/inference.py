@@ -223,6 +223,8 @@ def ks_distance(sample, reference) -> float:
             raise ValueError("only the 'normal' shorthand is supported")
         reference = ndtr
     if callable(reference):
+        if not values.size:
+            raise ValueError("sample must be nonempty")
         cdf = reference(np.sort(values))
         n = cdf.size
         return float(max((np.arange(1.0, n + 1) / n - cdf).max(),

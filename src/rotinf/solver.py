@@ -5,8 +5,9 @@ scaling for the entropy penalty and a damped Newton iteration on the reduced
 dual system for any supported penalty. Both report the max-abs marginal
 residual as their convergence diagnostic. One loop, ``_sinkhorn_stack``,
 runs every Sinkhorn iteration, for a stack of marginal pairs over one
-kernel; a single solve is a stack of one. A Sinkhorn solve that stalls, as
-small regularization makes it do, is handed to a warm entropy Newton
+kernel; ``sinkhorn_matrix`` runs a single solve as a stack of one, over a
+schedule of strengths. A Sinkhorn solve that stalls, as small regularization
+makes it do, is handed to a warm entropy Newton
 (Brauer, Clason, Lorenz & Wirth 2017) and ends after one column update, or
 resumes Sinkhorn where it stalled when Newton fails, to be handed again after
 a window twice as long. ``solve_replicates`` runs the warm Sinkhorn solves
@@ -164,48 +165,29 @@ def _new_watch(n1, n2):
     return watch
 
 
-def _sinkhorn_core(C, r, s, lam, tol, max_iter, f=None, g=None, resume=None):
-    """Stabilized Sinkhorn scaling on raw arrays: ``_sinkhorn_stack`` on a stack of one.
-
-    The kernel is exp((f + g - C) / lam). A cold start (no f) builds it by a
-    full log-domain round, and so does an update that cannot be formed (as
-    when the kernel underflows); scalings that leave the absorption window
-    are absorbed into (f, g) and the kernel rebuilt. Each time the solve goes
-    back into the loop with its iteration count and stall watch. ``resume`` =
-    (iterations, reference, window, next check) continues a solve begun
-    elsewhere with that count and watch (see ``_sinkhorn_stack``). Returns
-    (P, f, g, iterations, residual, converged) and never raises on
-    non-convergence.
-    """
-    n1, n2 = C.shape
-    r = np.asarray(r, dtype=float)[None]
-    s = np.asarray(s, dtype=float)[None]
-    status = _UNFORMED if f is None else _ABSORB
-    f = np.zeros(n1) if f is None else np.array(f, dtype=float)
-    g = np.zeros(n2) if g is None else np.array(g, dtype=float)
-    it, watch = (0, _new_watch(n1, n2)) if resume is None else (resume[0], np.array([resume[1:]]))
-    while True:
-        if status == _UNFORMED:  # one full Sinkhorn round carried out in the log domain
-            f = lam * (np.log(r[0]) - _logsumexp((g[None, :] - C) / lam, axis=1))
-            g = lam * (np.log(s[0]) - _logsumexp((f[:, None] - C) / lam, axis=0))
-            it += 1
-        K = np.exp((f[:, None] + g[None, :] - C) / lam)
-        (u,), (v,), (it,), (res,), (status,), watch = _sinkhorn_stack(
-            K, r, s, lam, tol, max_iter, np.array([it]), watch)
-        if status in (_DONE, _FAILED):
-            break
-        f = f + lam * np.log(u)
-        g = g + lam * np.log(v)
-    P = (u[:, None] * K) * v[None, :]
-    return P, f + lam * np.log(u), g + lam * np.log(v), int(it), float(res), status == _DONE
+def _diagonal_optimum(C, r, s):
+    """Whether diag(r) is the unique unregularized optimum: r = s, and a cost that
+    is zero exactly on its diagonal and positive everywhere else."""
+    off = ~np.eye(len(r), dtype=bool)
+    return np.array_equal(r, s) and np.array_equal(C > 0, off) and not C[~off].any()
 
 
 def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, init=None,
                     _resume=None):
-    """Entropy-regularized plan on raw arrays.
+    """Entropy-regularized plan on raw arrays, by stabilized Sinkhorn scaling.
 
-    A cold start at small lam (below span(C) / 25) first solves a ladder of
-    decreasing regularization strengths and starts from its potentials.
+    One loop runs each (strength, tol, max_iter) entry of a schedule from the
+    potentials (f, g) the entry before left, or from a log-domain round when
+    there are none: ``_sinkhorn_stack`` scales the kernel
+    exp((f + g - C) / strength) as a stack of one, and the kernel is rebuilt
+    after scalings that leave the absorption window are absorbed into (f, g),
+    or after a log-domain round when an update cannot be formed (as when the
+    kernel underflows). A cold start at lam below span(C) / 25 first runs a
+    ladder at span / 4, span / 16, ... above 4 lam, each at tol max(tol, 1e-4)
+    within 1,000 iterations, except where diag(r) is the unique unregularized
+    optimum (``_diagonal_optimum``): there the cold round already sits at that
+    lam -> 0 limit, while the ladder's potentials leave the mass split between
+    weakly coupled points off where Sinkhorn cannot move it.
 
     Parameters
     ----------
@@ -217,11 +199,11 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, in
         Regularization strength, > 0.
     init : (f0, g0) pair, optional
         Warm-start potentials.
-    _resume : (iterations, reference, window, next check), optional
+    _resume : (iterations, watch), optional
         Continues a warm solve that left the stack of ``solve_replicates``,
         from its absorbed potentials, with that many iterations and that
-        stall watch (see ``_sinkhorn_stack``); ``max_iter`` then bounds the
-        whole solve.
+        (1, 3) stall watch (see ``_sinkhorn_stack``); ``max_iter`` then
+        bounds the whole solve.
 
     Returns
     -------
@@ -235,9 +217,8 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, in
     residual : float
     """
     C, r, s = _check_problem(C, r, s, lam, tol, max_iter)
-    f0, g0 = (None, None) if init is None else _check_init(init, C.shape)
-    n1, n2 = C.shape
-    if n1 == 1 or n2 == 1:
+    f, g = (None, np.zeros(C.shape[1])) if init is None else _check_init(init, C.shape)
+    if 1 in C.shape:
         # a single row or column leaves no freedom; the product plan is exact
         P = np.outer(r, s)
         Z = C + lam * np.log(P)
@@ -246,20 +227,31 @@ def sinkhorn_matrix(C, r, s, lam, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, in
         return P, f, g, 0, 0.0
 
     span = float(C.max() - C.min())
-    ladder_iters = 0
-    if init is None and lam < span / 25.0:
+    fresh = (0, _new_watch(*C.shape))  # _sinkhorn_stack copies the watch it is given
+    schedule = []
+    if init is None and lam < span / 25.0 and not _diagonal_optimum(C, r, s):
         hot = span / 4.0
         while hot > lam * 4.0:
-            _, f0, g0, it, _, _ = _sinkhorn_core(
-                C, r, s, hot, tol=max(tol, 1e-4), max_iter=1000, f=f0, g=g0)
-            ladder_iters += it
+            schedule.append((hot, max(tol, 1e-4), 1000, fresh))
             hot /= 4.0
-
-    P, f, g, it, res, ok = _sinkhorn_core(C, r, s, lam, tol, max_iter, f=f0, g=g0,
-                                          resume=_resume)
-    if not ok:
-        raise _sinkhorn_failure(tol, max_iter, res, it + ladder_iters)
-    return P, f, g, it + ladder_iters, res
+    schedule.append((lam, tol, max_iter, _resume or fresh))
+    total = 0
+    for eps, eps_tol, budget, (it, watch) in schedule:
+        status = _UNFORMED if f is None else _ABSORB
+        while status in (_ABSORB, _UNFORMED):
+            if status == _UNFORMED:  # one full Sinkhorn round carried out in the log domain
+                f = eps * (np.log(r) - _logsumexp((g[None, :] - C) / eps, axis=1))
+                g = eps * (np.log(s) - _logsumexp((f[:, None] - C) / eps, axis=0))
+                it += 1
+            K = np.exp((f[:, None] + g[None, :] - C) / eps)
+            (u,), (v,), (it,), (res,), (status,), watch = _sinkhorn_stack(
+                K, r[None], s[None], eps, eps_tol, budget, np.array([it]), watch)
+            f = f + eps * np.log(u)
+            g = g + eps * np.log(v)
+        total += int(it)
+    if status == _FAILED:
+        raise _sinkhorn_failure(tol, max_iter, float(res), total)
+    return (u[:, None] * K) * v[None, :], f, g, total, float(res)
 
 
 def _sinkhorn_failure(tol, max_iter, res, it):
@@ -697,7 +689,7 @@ _DONE, _FAILED, _ABSORB, _UNFORMED = range(4)
 def _sinkhorn_stack(K, R, S, lam, tol, max_iter, iters, watch):
     """Sinkhorn scaling of a stack of marginal pairs, the rows of R and S, over one kernel.
 
-    This is the only Sinkhorn iteration: ``_sinkhorn_core`` runs a single
+    This is the only Sinkhorn iteration: ``sinkhorn_matrix`` runs a single
     solve through it as a stack of one. Row b starts from the kernel itself,
     with scalings 1 on the support of R[b] and S[b] and 0 off it, at
     iteration count iters[b] and with stall watch watch[b] = (reference, window, next check): the
@@ -874,7 +866,7 @@ def solve_replicates(C, R, S, lam, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_I
                 if i >= 0:  # leaves the stack with its absorbed potentials and stall watch
                     warm = (f0[rows] + lam * np.log(U[i, np.searchsorted(ru, rows)]),
                             g0[cols] + lam * np.log(V[i, np.searchsorted(cu, cols)]))
-                    watch = (int(iters[i]), *watches[i])
+                    watch = (int(iters[i]), watches[i:i + 1])
                 P[b][np.ix_(rows, cols)], _, _, counts[b], _ = sinkhorn_matrix(
                     C[np.ix_(rows, cols)], R[k, rows], S[k, cols], lam, tol=tol,
                     max_iter=max_iter, init=warm, _resume=watch)
@@ -944,9 +936,7 @@ def exact_ot_baseline(c: CostVector, r: Prob, s: Prob) -> ExactBaseline:
     n1, n2 = rows.size, cols.size
 
     A = ConstraintOperator(n1, n2).materialize_reduced()
-    # costs are nonnegative, so this asks for zeros exactly on the diagonal
-    if (np.array_equal(rows, cols) and np.array_equal(rv, sv)
-            and np.array_equal(C > 0, ~np.eye(n1, dtype=bool))):
+    if np.array_equal(rows, cols) and _diagonal_optimum(C, rv, sv):
         value, P = 0.0, np.diag(rv)
     else:
         from scipy.optimize import linprog

@@ -69,6 +69,9 @@ def test_ks_distance_equals_scipys_statistic():
     assert np.isnan(ks_distance([0.3, np.nan], [0.1]))
     with pytest.raises(ValueError, match="nonempty"):
         ks_distance([], [0.1])
+    for reference in ("normal", stats.expon.cdf):
+        with pytest.raises(ValueError, match="sample must be nonempty"):
+            ks_distance([], reference)
 
 
 def test_sinkhorn_statistic_dirac_zero(two_point_cost):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import bisect, minimize_scalar
+from scipy.spatial.distance import cdist
 
 import rotinf.regularizers as rg
 import rotinf.solver as sv
@@ -94,6 +95,22 @@ def test_small_lambda_population_stall_finishes_in_newton():
     assert np.abs(P.sum(axis=1) - r).max() <= DEFAULT_TOL
     # the column update after Newton keeps the columns exact
     assert np.abs(P.sum(axis=0) - r).max() <= 1e-15
+
+
+def test_cold_equal_marginal_solve_skips_the_ladder():
+    # r = s on six distinct points at lambda0 = 0.02: diag(r) is the unique
+    # unregularized optimum, which the cold log-domain round already sits at.
+    # Started from the cold-start ladder's potentials instead, the mass split
+    # between point 3 and points {0, 4}, coupled by plan entries near 1e-8, is
+    # off by 4e-8, and the solve spends all 100,000 iterations and fails
+    X = np.array([[0.914, 0.268], [0.196, 0.213], [0.007, 0.814],
+                  [0.882, 0.024], [0.904, 0.291], [0.351, 0.687]])
+    C = cdist(X, X)
+    r = np.array([0.053, 0.197, 0.241, 0.052, 0.412, 0.046])
+    r = r / r.sum()
+    sol = solve_reduced(C, r, r, 0.02 * np.median(C), p=1.0)
+    P = sol.plan.matrix
+    assert np.abs(np.concatenate([P.sum(axis=1) - r, P.sum(axis=0) - r])).max() <= DEFAULT_TOL
 
 
 def test_newton_that_cannot_factor_its_gram_is_tried_again(monkeypatch):
