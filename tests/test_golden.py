@@ -12,8 +12,10 @@ numbers is checked here. Counts and the text fields must match exactly.
 results, written by commit cb0d90a before the scalar Sinkhorn loop became a
 stack of one: each takes one exit of the loop (absorption, an update that
 cannot be formed, a Newton finish, failed Newtons, the ladder, ``max_iter``).
-Their plans are checked at 1e-12 relative, their counts, residuals and
-messages exactly.
+The result of ``stall_newton``, an r = s cold start, was written again by
+commit 1881d4c, which skips the ladder where diag(r) is the unregularized
+optimum; its input is unchanged. Their plans are checked at 1e-12 relative,
+their counts, residuals and messages exactly.
 """
 
 import json
