@@ -280,8 +280,11 @@ class GramFactor:
 
     ``W`` holds (n_rows, n_cols) inverse Hessian weights: the plan for
     entropy, 1/f'' otherwise. M = [diag(row sums), V; V^T, diag(c)] with V
-    the weights of the free columns and c their column sums; the Schur
-    complement diag(row sums) - V diag(1/c) V^T is factored once, slice by
+    the weights of the free columns and c their column sums (``sums``, if
+    given, holds W's row and column sums). One pass over ``W`` forms
+    -V diag(1/c), -0 off the free columns; its product with W^T plus
+    diag(row sums) is the Schur complement diag(row sums) - V diag(1/c) V^T,
+    bit for bit, as IEEE negation is exact. That is factored once, slice by
     slice, by LAPACK's potrf, and every solve runs potrs on that factor.
 
     A 2-D ``W`` is a stack of one on its full support (every column but the
@@ -297,7 +300,7 @@ class GramFactor:
     between two blocks). ``solve_blocks`` serves those.
     """
 
-    def __init__(self, W, free=None, off_row=None):
+    def __init__(self, W, free=None, off_row=None, sums=None):
         W = np.asarray(W, dtype=float)
         single = W.ndim == 2
         if single:
@@ -306,15 +309,14 @@ class GramFactor:
             off_row = 0.0
         self.weights = W
         B, self.n_rows, self.n_cols = W.shape
-        rsum, csum = W.sum(axis=2), W.sum(axis=1)
+        rsum, csum = (W.sum(axis=2), W.sum(axis=1)) if sums is None else sums
         empty = free & (csum <= 0)
         if single and empty.any():
             raise ReductionRequiredError("column marginal has zero entries; reduce the support first")
         self._free = free
         self._c = np.where(free & ~empty, csum, 1.0)
-        self._vc = W / self._c[:, None, :]
-        self._vc *= free[:, None, :]
-        schur = -(self._vc @ W.transpose(0, 2, 1))
+        self._nvc = W / np.where(free, -self._c, -np.inf)[:, None, :]
+        schur = self._nvc @ W.transpose(0, 2, 1)
         schur.reshape(B, self.n_rows ** 2)[:, :: self.n_rows + 1] += rsum + off_row  # diagonals
         # potrf factors each slice in place: its transpose, Fortran-ordered, becomes
         # the upper factor U with U^T U = the slice, which potrs takes uncopied
@@ -344,7 +346,7 @@ class GramFactor:
         vector = top.ndim == 2
         if vector:
             top, bottom = top[..., None], bottom[..., None]
-        rhs = top - self._vc @ bottom
+        rhs = top + self._nvc @ bottom
         x = np.zeros_like(rhs)
         for b in np.flatnonzero(self.factored):
             x[b] = linalg.lapack.dpotrs(self._chol[b].T, rhs[b], lower=False)[0]
@@ -357,7 +359,7 @@ class GramFactor:
         the reduced layout, whose last column is dropped."""
         B = np.asarray_chkfinite(B, dtype=float)
         top, bottom = B[: self.n_rows], B[self.n_rows :]
-        x = linalg.lapack.dpotrs(self._chol[0].T, top - self._vc[0, :, :-1] @ bottom,
+        x = linalg.lapack.dpotrs(self._chol[0].T, top + self._nvc[0, :, :-1] @ bottom,
                                  lower=False)[0]
         c = self._c[0, :-1] if B.ndim == 1 else self._c[0, :-1, None]
         return np.concatenate([x, (bottom - self.weights[0, :, :-1].T @ x) / c])
@@ -403,39 +405,42 @@ def _newton_stack(K, U, V, R, S, lam, tol, steps):
 
 
 def _newton_chunk(K, U, V, R, S, steps, lam, tol):
-    """``_newton_stack`` on one chunk of rows."""
+    """``_newton_stack`` on one chunk of rows. The rows still iterating are
+    compacted only on the steps where some leave, and a line search whose
+    first trials all pass takes them, and their plans' masses, as the next state."""
     B = len(U)
     U_out, V_out = U.copy(), V.copy()
     taken = np.zeros(B, dtype=int)
     succeeded = np.zeros(B, dtype=bool)
-    free = GramFactor.free_columns(S)
     idx = np.arange(B)  # rows still iterating, and their state:
-    u, v, r, s, off_row = U, V, R, S, R <= 0
+    u, v, r, s, fr, off_row = U.copy(), V.copy(), R, S, GramFactor.free_columns(S), R <= 0
     with np.errstate(all="ignore"):  # overflowing or vanishing trial steps are refused
-        P = u[:, :, None] * K * v[:, None, :]
+        P = u[:, :, None] * K
+        P *= v[:, None, :]
+        mass = P.sum(axis=(1, 2))
         while idx.size:
             rsum, csum = P.sum(axis=2), P.sum(axis=1)
             col_scale = np.divide(s, csum, out=np.zeros_like(s), where=s > 0)
             fit = np.abs((P * col_scale[:, None, :]).sum(axis=2) - r).max(axis=1)
             col = v * col_scale
             done = (fit <= tol) & (np.isfinite(col) & ((col > 0) | (s <= 0))).all(axis=1)
-            U_out[idx[done]], V_out[idx[done]] = u[done], col[done]
-            succeeded[idx[done]] = True
+            if done.any():
+                U_out[idx[done]], V_out[idx[done]] = u[done], col[done]
+                succeeded[idx[done]] = True
             keep = ~done & (taken[idx] < steps[idx])
-            idx, u, v, r, s, off_row, P, rsum, csum = (
-                a[keep] for a in (idx, u, v, r, s, off_row, P, rsum, csum))
-            if not idx.size:
-                break
+            if not keep.all():
+                idx, u, v, r, s, fr, off_row, P, mass, rsum, csum = (
+                    a[keep] for a in (idx, u, v, r, s, fr, off_row, P, mass, rsum, csum))
+                if not idx.size:
+                    break
             taken[idx] += 1
-            fr = free[idx]
-            gram = GramFactor(P, fr, off_row)
+            gram = GramFactor(P, fr, off_row, sums=(rsum, csum))
             pd = gram.factored
             F_row, F_col = rsum - r, np.where(fr, csum - s, 0.0)
             x, z = gram.solve_blocks(-F_row, -F_col)
             # the dual <a, r> + <b, s> - lam * sum(P) in the log scalings a, b
             linear = (np.where(off_row, 0.0, r * np.log(u)).sum(axis=1)
                       + np.where(s > 0, s * np.log(v), 0.0).sum(axis=1))
-            mass = P.sum(axis=(1, 2))
             rounding = 1e-14 * np.maximum(1.0, lam * np.abs(linear - mass))
             slope = -lam * ((F_row * x).sum(axis=1) + (F_col * z).sum(axis=1))
             rise = lam * ((r * x).sum(axis=1) + (s * z).sum(axis=1))
@@ -450,21 +455,34 @@ def _newton_chunk(K, U, V, R, S, steps, lam, tol):
                        + 1e-4 * np.maximum(-slope, 0))
                 t[far] = _first_trial(P[far], x[far], z[far], cap[far], lam)
                 trying = trying[t[trying] >= 1e-14]
+            first = True
             while trying.size:
-                tt = t[trying]
-                ut = u[trying] * np.exp(tt[:, None] * x[trying])
-                vt = v[trying] * np.exp(tt[:, None] * z[trying])
-                Pt = ut[:, :, None] * K * vt[:, None, :]
-                gain = tt * rise[trying] - lam * (Pt.sum(axis=(1, 2)) - mass[trying])
-                ok = ((np.isfinite(ut) & ((ut > 0) | off_row[trying])).all(axis=1)
-                      & (np.isfinite(vt) & ((vt > 0) | (s[trying] <= 0))).all(axis=1)
-                      & (gain >= 1e-4 * tt * slope[trying] - rounding[trying]))
+                at = slice(None) if trying.size == idx.size else trying  # a view if all try
+                tt = t[at]
+                ut = u[at] * np.exp(tt[:, None] * x[at])
+                vt = v[at] * np.exp(tt[:, None] * z[at])
+                Pt = ut[:, :, None] * K
+                Pt *= vt[:, None, :]
+                mass_t = Pt.sum(axis=(1, 2))
+                gain = tt * rise[at] - lam * (mass_t - mass[at])
+                ok = ((np.isfinite(ut) & ((ut > 0) | off_row[at])).all(axis=1)
+                      & (np.isfinite(vt) & ((vt > 0) | (s[at] <= 0))).all(axis=1)
+                      & (gain >= 1e-4 * tt * slope[at] - rounding[at]))
+                if first and ok.all():  # the trials are the state of the rows that stay
+                    if trying.size < idx.size:
+                        idx, r, s, fr, off_row = (a[trying] for a in (idx, r, s, fr, off_row))
+                    u, v, P, mass = ut, vt, Pt, mass_t
+                    break
+                first = False
                 moved = trying[ok]
-                u[moved], v[moved], P[moved] = ut[ok], vt[ok], Pt[ok]
+                u[moved], v[moved], P[moved], mass[moved] = ut[ok], vt[ok], Pt[ok], mass_t[ok]
                 t[trying[~ok]] *= 0.5
                 trying = trying[~ok & (t[trying] >= 1e-14)]
-            keep = pd & (t >= 1e-14)
-            idx, u, v, r, s, off_row, P = (a[keep] for a in (idx, u, v, r, s, off_row, P))
+            else:
+                keep = pd & (t >= 1e-14)
+                if not keep.all():
+                    idx, u, v, r, s, fr, off_row, P, mass = (
+                        a[keep] for a in (idx, u, v, r, s, fr, off_row, P, mass))
     return U_out, V_out, taken, succeeded
 
 
@@ -711,17 +729,19 @@ def _sinkhorn_stack(K, R, S, lam, tol, max_iter, iters, watch):
     window doubled. Returns (U, V, iterations, residuals, statuses, watches).
     """
     B = len(R)
-    r_off, s_off = R <= 0, S <= 0
+    # the supports, and 1.0 off them: U + r_off has U's minimum over the support or 1
+    r_in, s_in = R > 0, S > 0
+    r_off, s_off = 1.0 - r_in, 1.0 - s_in
     U, V = 1.0 - r_off, 1.0 - s_off
     U_out, V_out, watch_out = np.empty_like(U), np.empty_like(V), np.empty((B, 3))
     iters_out, resid, status = np.empty(B, dtype=int), np.empty(B), np.empty(B, dtype=int)
     lo, hi = _ABSORB_LO, _ABSORB_HI
-    masked = r_off.any() or s_off.any()
+    masked = not (r_in.all() and s_in.all())
     # the rows running and their state; a row's count is the loop's plus its base
     live, base, watch = np.arange(B), np.array(iters), np.array(watch, dtype=float)
 
     def leave(mask, code, step):
-        nonlocal live, U, V, KV, R, S, r_off, s_off, res, base, watch
+        nonlocal live, U, V, KV, R, S, r_in, s_in, r_off, s_off, res, base, watch
         idx = live[mask]
         U_out[idx], V_out[idx], status[idx], resid[idx] = U[mask], V[mask], code, res[mask]
         iters_out[idx], watch_out[idx] = step + base[mask], watch[mask]
@@ -729,8 +749,8 @@ def _sinkhorn_stack(K, R, S, lam, tol, max_iter, iters, watch):
             live = idx[:0]
             return
         keep = ~mask
-        live, U, V, KV, R, S, r_off, s_off, res, base, watch = (
-            x[keep] for x in (live, U, V, KV, R, S, r_off, s_off, res, base, watch))
+        live, U, V, KV, R, S, r_in, s_in, r_off, s_off, res, base, watch = (
+            x[keep] for x in (live, U, V, KV, R, S, r_in, s_in, r_off, s_off, res, base, watch))
 
     it, soonest = 0, 0  # no row's window or budget ends before loop count soonest
     with np.errstate(all="ignore"):  # zero or overflowing scalings leave the loop
@@ -759,8 +779,8 @@ def _sinkhorn_stack(K, R, S, lam, tol, max_iter, iters, watch):
             it += 1
             U_old, V_old = U, V
             if masked:
-                U = np.divide(R, KV, out=np.zeros_like(R), where=~r_off)
-                V = np.divide(S, U @ K, out=np.zeros_like(S), where=~s_off)
+                U = np.divide(R, KV, out=np.zeros_like(R), where=r_in)
+                V = np.divide(S, U @ K, out=np.zeros_like(S), where=s_in)
             else:
                 U = R / KV
                 V = S / (U @ K)
@@ -779,13 +799,13 @@ def _sinkhorn_stack(K, R, S, lam, tol, max_iter, iters, watch):
                 inside = lo <= U.min() and lo <= V.min()
             if inside and U.max() <= hi and V.max() <= hi:
                 continue
-            out = ~((((U >= lo) & (U <= hi)) | r_off).all(axis=1)
-                    & (((V >= lo) & (V <= hi)) | s_off).all(axis=1))
+            out = ~((((U >= lo) & (U <= hi)) | ~r_in).all(axis=1)
+                    & (((V >= lo) & (V <= hi)) | ~s_in).all(axis=1))
             if stalled is not None:
                 out &= ~stalled
             if out.any():
-                formed = ((np.isfinite(U) & ((U > 0) | r_off)).all(axis=1)
-                          & (np.isfinite(V) & ((V > 0) | s_off)).all(axis=1))
+                formed = ((np.isfinite(U) & ((U > 0) | ~r_in)).all(axis=1)
+                          & (np.isfinite(V) & ((V > 0) | ~s_in)).all(axis=1))
                 U[~formed], V[~formed] = U_old[~formed], V_old[~formed]
                 leave(out, np.where(formed, _ABSORB, _UNFORMED)[out], it - 1 + formed[out])
     return U_out, V_out, iters_out, resid, status, watch_out

@@ -1,8 +1,9 @@
 """Structural invariants over generated instances: the Gram factor against the
 dense oracle, A grad_phi = I, PSD covariances, marginal feasibility, cost-shift
 invariance, permutation equivariance, batched replicate solves against looped
-ones, stacked plug-in variances against the one-plan path, and the Newton line
-search's first trial against the Armijo test."""
+ones, stacked plug-in variances against the one-plan path, the Newton line
+search's first trial against the Armijo test, and each row of a stacked Newton
+against its solve alone."""
 
 from unittest import mock
 
@@ -51,6 +52,10 @@ def assert_backward_stable(M, X, B):
     assert resid <= 1e-10 * np.linalg.norm(M, 2) * np.linalg.norm(X)
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @st.composite
 def instances(draw, max_points=4):
     """Cost matrix in [0, 1] with strictly positive marginals, and lam."""
@@ -77,6 +82,10 @@ def test_gram_factor_backward_error(case):
     W, rows, cols, free, top, bottom = case
     stack = GramFactor(W, free, ~rows)
     x, y = stack.solve_blocks(top, bottom)
+    # the row and column sums handed in, as the stacked Newton hands them in
+    summed = GramFactor(W, free, ~rows, sums=(W.sum(axis=2), W.sum(axis=1)))
+    assert same_bits(summed.factored, stack.factored)
+    assert all(same_bits(a, b) for a, b in zip(summed.solve_blocks(top, bottom), (x, y)))
     for b in range(len(W)):
         ri, ci = np.flatnonzero(rows[b]), np.flatnonzero(cols[b])
         Wb = W[b][np.ix_(ri, ci)]
@@ -408,17 +417,18 @@ def test_newton_failing_midway_falls_back_to_where_it_stalled(monkeypatch):
     assert_same_solves(batched, looped_solves(C, R, S, 0.02, warm, sv.DEFAULT_MAX_ITER))
 
 
-@st.composite
-def stalled_stacks(draw):
-    """The scalings (K, U, V, R, S, lam) of a single small-lam solve of 4 to 30
-    random points where it first stalls, as a stack of one, or as a stack of
-    resampled marginal pairs on the same scalings, zero off their supports."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    N = draw(st.integers(4, 30))
+def random_points(rng, N, p, factor):
+    """N random points in the unit square, their cost |x - y|^p, Dirichlet
+    marginals and lam = factor times the median cost."""
     X = rng.uniform(0.0, 1.0, (N, 2))
-    C = cost_from_metric(GroundSpace(X), p=draw(st.sampled_from([1.0, 2.0]))).matrix
+    C = cost_from_metric(GroundSpace(X), p=p).matrix
     r, s = rng.dirichlet(np.ones(N)), rng.dirichlet(np.ones(N))
-    lam = float(np.median(C)) * draw(st.floats(0.002, 0.05))
+    return C, r, s, float(np.median(C)) * factor
+
+
+def first_stall(C, r, s, lam):
+    """The scalings (K, U, V, R, S) that a solve to tol 1e-8 hands its first
+    Newton, a stack of one, or None if it does not stall within 200 iterations."""
     stalls = []
     real = sv._newton_stack
 
@@ -431,9 +441,21 @@ def stalled_stacks(draw):
             sv.sinkhorn_matrix(C, r, s, lam, tol=1e-8, max_iter=200)
         except ConvergenceError:
             pass
-    if not stalls:
+    return stalls[0] if stalls else None
+
+
+@st.composite
+def stalled_stacks(draw):
+    """The scalings (K, U, V, R, S, lam) of a single small-lam solve of 4 to 30
+    random points where it first stalls, as a stack of one, or as a stack of
+    resampled marginal pairs on the same scalings, zero off their supports."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    N, p = draw(st.integers(4, 30)), draw(st.sampled_from([1.0, 2.0]))
+    C, r, s, lam = random_points(rng, N, p, draw(st.floats(0.002, 0.05)))
+    stall = first_stall(C, r, s, lam)
+    if stall is None:
         reject()
-    K, U, V, R, S = stalls[0]
+    K, U, V, R, S = stall
     if draw(st.booleans()):
         n = draw(st.integers(2, 60))
         R = np.array([rng.multinomial(n, r) / n for _ in range(6)])
@@ -488,6 +510,49 @@ def test_line_search_starts_below_only_failing_trials(case):
     _, _, taken, ok = sv._newton_stack(K, U, V, R, S, lam, 1e-8, 2)
     ended = gram.factored & (start < 1e-14) & (taken > 0)
     assert (taken[ended] == 1).all() and not ok[ended].any()
+
+
+@given(case=stalled_stacks(), order=st.permutations(range(6)))
+def test_stacked_newton_rows_match_their_solves_alone(case, order):
+    # a row's path depends on its own state alone: in a permuted stack, whose
+    # rows leave at different steps or all at once, each row returns the bits
+    # it returns as a stack of one, and the stack's inputs are left as they were
+    K, U, V, R, S, lam = case
+    order = [b for b in order if b < len(U)]
+    inputs = [a[order] for a in (U, V, R, S)]
+    held = [a.copy() for a in inputs]
+    stack = sv._newton_stack(K, *inputs, lam, 1e-8, sv._NEWTON_STEPS)
+    assert all(same_bits(a, b) for a, b in zip(inputs, held))
+    for k, b in enumerate(order):
+        alone = sv._newton_stack(K, U[b:b + 1], V[b:b + 1], R[b:b + 1], S[b:b + 1], lam, 1e-8,
+                                 sv._NEWTON_STEPS)
+        assert all(same_bits(out[k:k + 1], one) for out, one in zip(stack, alone))
+
+
+@pytest.mark.parametrize("seed, passes", [(3, True), (0, False)])
+def test_stacked_newton_leaves_its_inputs_as_they_were(seed, passes):
+    # three copies of the first stall on 8 random points at 0.01 times the
+    # median cost: no row meets tol before its first step or starts its line
+    # search below t = 1, so the stack is not compacted before it. Every
+    # trial passes there (seed 3), and the step takes the trials as the new
+    # state, or every trial fails (seed 0), and the step writes its accepted
+    # trials into a copy of the state; either way U, V, R and S stay as they were
+    C, r, s, lam = random_points(np.random.default_rng(seed), 8, 1.0, 0.01)
+    K, *stall = first_stall(C, r, s, lam)
+    U, V, R, S = (np.repeat(a, 3, axis=0) for a in stall)
+    P = U[:, :, None] * K * V[:, None, :]
+    free = GramFactor.free_columns(S)
+    F_row, F_col = P.sum(axis=2) - R, np.where(free, P.sum(axis=1) - S, 0.0)
+    X, Z = GramFactor(P, free, R <= 0).solve_blocks(-F_row, -F_col)
+    col = S / P.sum(axis=1)
+    assert (np.abs((P * col[:, None, :]).sum(axis=2) - R).max(axis=1) > 1e-8).all()
+    assert (X.max(axis=1) + Z.max(axis=1) <= 10).all()
+    assert all(armijo_passes(K, U[b], V[b], X[b], Z[b], R[b], S[b], free[b], lam, 1.0) == passes
+               for b in range(3))
+    held = [a.copy() for a in (U, V, R, S)]
+    _, _, taken, ok = sv._newton_stack(K, U, V, R, S, lam, 1e-8, sv._NEWTON_STEPS)
+    assert ok.all() and (taken == 3).all()
+    assert all(same_bits(a, b) for a, b in zip((U, V, R, S), held))
 
 
 @st.composite
